@@ -2,12 +2,12 @@
 //!
 //! The workspace deliberately has no serialization dependency (the build
 //! is offline; `vendor/` holds only stubs), so the wire format is written
-//! and parsed here by hand: a small recursive-descent JSON parser plus
-//! explicit encoders for [`EvalRequest`]/[`EvalResponse`] and the
-//! `gcco-serve` envelopes. Floats are emitted with Rust's shortest
-//! round-trip formatting (`{:?}`), so **encode → parse is exact** — the
-//! round-trip property tests in `tests/json_roundtrip.rs` assert equality,
-//! not approximation.
+//! and parsed here by hand: a small recursive-descent JSON parser, one
+//! field table per request and response type from which its encoder and
+//! parser are derived, and the `gcco-serve` envelopes. Floats are emitted
+//! with Rust's shortest round-trip formatting (`{:?}`), so **encode →
+//! parse is exact** — the round-trip property tests in
+//! `tests/json_roundtrip.rs` assert equality, not approximation.
 
 use crate::baseline::{BaselineMetric, BaselineOut, BaselineSpec, CdrArchKind};
 use crate::error::GccoError;
@@ -86,10 +86,7 @@ impl Json {
     ///
     /// [`GccoError::Parse`] when the value is not a number.
     pub fn as_f64(&self, what: &str) -> Result<f64, GccoError> {
-        match self {
-            Json::Num(x) => Ok(*x),
-            other => Err(type_err(what, "a number", other)),
-        }
+        f64::parse(self).map_err(|e| in_field(what, e))
     }
 
     /// The value as an unsigned integer (rejects fractions and negatives).
@@ -98,10 +95,7 @@ impl Json {
     ///
     /// [`GccoError::Parse`] when the value is not a non-negative integer.
     pub fn as_u64(&self, what: &str) -> Result<u64, GccoError> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Ok(*x as u64),
-            other => Err(type_err(what, "a non-negative integer", other)),
-        }
+        u64::parse(self).map_err(|e| in_field(what, e))
     }
 
     /// The value as a signed integer.
@@ -110,10 +104,7 @@ impl Json {
     ///
     /// [`GccoError::Parse`] when the value is not an integer.
     pub fn as_i64(&self, what: &str) -> Result<i64, GccoError> {
-        match self {
-            Json::Num(x) if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) => Ok(*x as i64),
-            other => Err(type_err(what, "an integer", other)),
-        }
+        i64::parse(self).map_err(|e| in_field(what, e))
     }
 
     /// The value as a bool.
@@ -122,10 +113,7 @@ impl Json {
     ///
     /// [`GccoError::Parse`] when the value is not a boolean.
     pub fn as_bool(&self, what: &str) -> Result<bool, GccoError> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(type_err(what, "a boolean", other)),
-        }
+        bool::parse(self).map_err(|e| in_field(what, e))
     }
 
     /// The value as a string slice.
@@ -134,10 +122,7 @@ impl Json {
     ///
     /// [`GccoError::Parse`] when the value is not a string.
     pub fn as_str(&self, what: &str) -> Result<&str, GccoError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(type_err(what, "a string", other)),
-        }
+        expect_str(self).map_err(|e| in_field(what, e))
     }
 
     /// The value as an array slice.
@@ -148,7 +133,7 @@ impl Json {
     pub fn as_arr(&self, what: &str) -> Result<&[Json], GccoError> {
         match self {
             Json::Arr(items) => Ok(items),
-            other => Err(type_err(what, "an array", other)),
+            other => Err(in_field(what, type_err("an array", other))),
         }
     }
 
@@ -164,7 +149,7 @@ impl Json {
     }
 }
 
-fn type_err(what: &str, expected: &str, got: &Json) -> GccoError {
+fn type_err(expected: &str, got: &Json) -> GccoError {
     let tag = match got {
         Json::Null => "null",
         Json::Bool(_) => "a boolean",
@@ -173,7 +158,7 @@ fn type_err(what: &str, expected: &str, got: &Json) -> GccoError {
         Json::Arr(_) => "an array",
         Json::Obj(_) => "an object",
     };
-    GccoError::Parse(format!("{what}: expected {expected}, got {tag}"))
+    GccoError::Parse(format!("expected {expected}, got {tag}"))
 }
 
 struct Parser<'a> {
@@ -377,6 +362,11 @@ impl<'a> Parser<'a> {
 /// Escapes and quotes a string for JSON output.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -392,97 +382,406 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Formats a float with Rust's shortest round-trip representation
 /// (`5.0`, `0.021`, `1e-12`, …) — exact under encode → parse. Non-finite
 /// values (which validation keeps out of every payload) become `null`.
 pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
-    }
+    to_json(&x)
 }
 
-fn json_f64_list(xs: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_f64(*x));
-    }
-    out.push(']');
+// ---------------------------------------------------------------------
+// The wire tables
+// ---------------------------------------------------------------------
+
+/// A value with one JSON wire form. The leaf types implement it by hand
+/// below; every request and response type gets its impl from one table
+/// row, so its field list is written once.
+///
+/// Parse semantics, shared by every table: a missing field is an error,
+/// `null` is accepted only for an `Option`, unknown fields are ignored,
+/// and the first of two duplicate keys wins.
+trait Wire: Sized {
+    /// Appends the value's JSON text to `out`.
+    fn encode(&self, out: &mut String);
+    /// Reads the value from its parsed JSON.
+    fn parse(v: &Json) -> Result<Self, GccoError>;
+}
+
+fn to_json<T: Wire>(value: &T) -> String {
+    let mut out = String::new();
+    value.encode(&mut out);
     out
 }
 
-fn parse_f64_list(v: &Json, what: &str) -> Result<Vec<f64>, GccoError> {
-    v.as_arr(what)?
-        .iter()
-        .map(|item| item.as_f64(what))
-        .collect()
+/// Parses the required field `name` of the object `v`.
+fn field<T: Wire>(v: &Json, name: &str) -> Result<T, GccoError> {
+    T::parse(v.field(name)?).map_err(|e| in_field(name, e))
 }
 
-// ---------------------------------------------------------------------
-// ModelSpec
-// ---------------------------------------------------------------------
+/// Prefixes a parse error with the field it occurred in, outermost
+/// field first: `spec: dj_pp: expected a number, got a string`.
+fn in_field(name: &str, e: GccoError) -> GccoError {
+    match e {
+        GccoError::Parse(detail) => GccoError::Parse(format!("{name}: {detail}")),
+        other => other,
+    }
+}
 
-/// The wire name of a sampling tap (used by model specs, optimizer
-/// requests, and optimizer reports alike).
-fn tap_str(tap: SamplingTap) -> &'static str {
+fn expect_str(v: &Json) -> Result<&str, GccoError> {
+    match v {
+        Json::Str(s) => Ok(s),
+        other => Err(type_err("a string", other)),
+    }
+}
+
+impl Wire for f64 {
+    fn encode(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self:?}");
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    fn parse(v: &Json) -> Result<f64, GccoError> {
+        match v {
+            Json::Num(x) => Ok(*x),
+            other => Err(type_err("a number", other)),
+        }
+    }
+}
+
+impl Wire for u64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn parse(v: &Json) -> Result<u64, GccoError> {
+        match v {
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Ok(*x as u64),
+            other => Err(type_err("a non-negative integer", other)),
+        }
+    }
+}
+
+impl Wire for u32 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn parse(v: &Json) -> Result<u32, GccoError> {
+        let n = u64::parse(v)?;
+        u32::try_from(n).map_err(|_| {
+            GccoError::Parse(format!("expected an integer at most {}, got {n}", u32::MAX))
+        })
+    }
+}
+
+impl Wire for i64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn parse(v: &Json) -> Result<i64, GccoError> {
+        match v {
+            Json::Num(x) if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) => Ok(*x as i64),
+            other => Err(type_err("an integer", other)),
+        }
+    }
+}
+
+impl Wire for bool {
+    fn encode(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn parse(v: &Json) -> Result<bool, GccoError> {
+        match v {
+            Json::Bool(b) => Ok(*b),
+            other => Err(type_err("a boolean", other)),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(x) => x.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn parse(v: &Json) -> Result<Option<T>, GccoError> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::parse(v).map(Some),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            x.encode(out);
+        }
+        out.push(']');
+    }
+
+    fn parse(v: &Json) -> Result<Vec<T>, GccoError> {
+        match v {
+            Json::Arr(items) => items.iter().map(T::parse).collect(),
+            other => Err(type_err("an array", other)),
+        }
+    }
+}
+
+/// `RunDistSpec` is externally tagged: `{"geometric":5}` or
+/// `{"counts":[…]}`.
+impl Wire for RunDistSpec {
+    fn encode(&self, out: &mut String) {
+        match self {
+            RunDistSpec::Geometric(max_len) => {
+                out.push_str("{\"geometric\":");
+                max_len.encode(out);
+            }
+            RunDistSpec::Counts(counts) => {
+                out.push_str("{\"counts\":");
+                counts.encode(out);
+            }
+        }
+        out.push('}');
+    }
+
+    fn parse(v: &Json) -> Result<RunDistSpec, GccoError> {
+        if v.get("geometric").is_some() {
+            field(v, "geometric").map(RunDistSpec::Geometric)
+        } else if v.get("counts").is_some() {
+            field(v, "counts").map(RunDistSpec::Counts)
+        } else {
+            Err(GccoError::Parse(
+                "expected a \"geometric\" or \"counts\" field".to_string(),
+            ))
+        }
+    }
+}
+
+/// The wire name of a sampling tap, as model specs, optimizer requests
+/// and optimizer reports spell it.
+pub fn tap_name(tap: SamplingTap) -> &'static str {
     match tap {
         SamplingTap::Standard => "standard",
         SamplingTap::Improved => "improved",
     }
 }
 
-fn parse_tap(s: &str) -> Result<SamplingTap, GccoError> {
-    match s {
-        "standard" => Ok(SamplingTap::Standard),
-        "improved" => Ok(SamplingTap::Improved),
-        other => Err(GccoError::Parse(format!("unknown tap \"{other}\""))),
+fn tap_from_name(s: &str) -> Option<SamplingTap> {
+    [SamplingTap::Standard, SamplingTap::Improved]
+        .into_iter()
+        .find(|&tap| tap_name(tap) == s)
+}
+
+fn edge_model_name(model: EdgeModel) -> &'static str {
+    match model {
+        EdgeModel::ResyncReferenced => "resync_referenced",
+        EdgeModel::IndependentEdges => "independent_edges",
     }
 }
 
-/// Encodes a [`ModelSpec`] as a JSON object.
-pub fn encode_model_spec(spec: &ModelSpec) -> String {
-    let run_dist = match &spec.run_dist {
-        RunDistSpec::Geometric(n) => format!("{{\"geometric\":{n}}}"),
-        RunDistSpec::Counts(counts) => {
-            let mut out = String::from("{\"counts\":[");
-            for (i, c) in counts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
+fn edge_model_from_name(s: &str) -> Option<EdgeModel> {
+    [EdgeModel::ResyncReferenced, EdgeModel::IndependentEdges]
+        .into_iter()
+        .find(|&model| edge_model_name(model) == s)
+}
+
+/// Enums that travel as one string per value: `$name` spells a value
+/// and `$from_name` reads it back.
+macro_rules! wire_names {
+    ($($ty:ty: $what:literal, $name:path, $from_name:path;)+) => {$(
+        impl Wire for $ty {
+            fn encode(&self, out: &mut String) {
+                push_json_string(out, $name(*self));
             }
-            out.push_str("]}");
-            out
+
+            fn parse(v: &Json) -> Result<Self, GccoError> {
+                let s = expect_str(v)?;
+                $from_name(s).ok_or_else(|| {
+                    GccoError::Parse(format!(concat!("unknown ", $what, " \"{}\""), s))
+                })
+            }
+        }
+    )+};
+}
+
+wire_names! {
+    SamplingTap: "tap", tap_name, tap_from_name;
+    EdgeModel: "edge_model", edge_model_name, edge_model_from_name;
+    CdrArchKind: "baseline arch", CdrArchKind::wire_name, CdrArchKind::from_wire;
+}
+
+/// A wire struct's fields without the surrounding braces, so that a
+/// tagged variant can carry them inline.
+trait WireFields {
+    fn encode_fields(&self, out: &mut String);
+}
+
+/// Wire structs: each is a JSON object whose keys are its field names,
+/// in the listed order. Encode destructures without `..` and parse builds
+/// a struct literal, so a field left out of a row does not compile.
+macro_rules! wire_structs {
+    ($($ty:ident { $first:ident $(, $rest:ident)* $(,)? })+) => {$(
+        impl WireFields for $ty {
+            fn encode_fields(&self, out: &mut String) {
+                let $ty { $first $(, $rest)* } = self;
+                out.push_str(concat!("\"", stringify!($first), "\":"));
+                $first.encode(out);
+                $(
+                    out.push_str(concat!(",\"", stringify!($rest), "\":"));
+                    $rest.encode(out);
+                )*
+            }
+        }
+
+        impl Wire for $ty {
+            fn encode(&self, out: &mut String) {
+                out.push('{');
+                self.encode_fields(out);
+                out.push('}');
+            }
+
+            fn parse(v: &Json) -> Result<Self, GccoError> {
+                Ok($ty {
+                    $first: field(v, stringify!($first))?,
+                    $($rest: field(v, stringify!($rest))?,)*
+                })
+            }
+        }
+    )+};
+}
+
+wire_structs! {
+    ModelSpec {
+        dj_pp, rj_rms, sj_pp, sj_freq_norm, ckj_rms, cid_max, run_dist, tap, freq_offset,
+        edge_model, include_slip, gating_tau_ui, grid_step,
+    }
+    SjOverride { amplitude_pp, freq_norm }
+    PowerScanSpec {
+        bit_rate_gbps, swing_v, n_stages, cid, eta, sigma_ui_target, iss_min_ua, iss_max_ua,
+        steps, iss_sizing_max_a,
+    }
+    DsimRunSpec { seed, stages, stage_delay_ps, jitter_rel, duration_ns }
+    MultiChannelSpec {
+        channels, mismatch_sigma, ripple_rms_ui, seed, bit_rate_gbps, target_ber, spec,
+    }
+    OptimizeSpec {
+        base, target_ber, budget_mw_per_gbps, bit_rate_gbps, freq_margin, margin_hi, taps, cids,
+        ckj_lo, ckj_hi, rel_tol, seed, max_probes,
+    }
+    BaselineSpec {
+        bits, seed, bit_rate_gbps, freq_offset, kp, ki, sj_amp_pp, sj_freq_norm, rj_rms_ui,
+    }
+    JtolPointOut { freq_norm, amplitude_pp, censored }
+    SizedCellOut { iss_a, swing_v, delay_fs }
+    PowerPointOut { iss_a, ring_power_mw, sigma_ui }
+    DsimRunOut { period_ps_mean, period_ps_rms, rising_edges, events }
+    ChannelOut { index, freq_offset, ber, settling_ui }
+    BestDesignOut { spec, mw_per_gbps, worst_ber, margin, settling_ui }
+    ComboReportOut { tap, cid_max, ckj_rms, mw_per_gbps, worst_ber, probes }
+    OptimizeOut { best, per_combo, probes, store_hits, converged }
+    BaselineOut { lock_bits, errors, updates, residual_rms_ui, capture_range, jtol_amp_pp }
+}
+
+/// Tagged enums: a JSON object whose `$tag` key holds the variant's wire
+/// name, then the variant's fields in the listed order. A trailing
+/// `..field` puts that struct's fields inline instead of nesting them.
+/// The same rows give `kind()`.
+macro_rules! wire_enum {
+    ($vis:vis $ty:ident, $tag:literal, $what:literal {
+        $($variant:ident => $name:literal { $($field:ident),* $(..$inline:ident)? },)+
+    }) => {
+        impl $ty {
+            #[doc = concat!("The variant's wire name (its `\"", $tag, "\"` field).")]
+            $vis fn kind(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $name,)+
+                }
+            }
+        }
+
+        impl Wire for $ty {
+            fn encode(&self, out: &mut String) {
+                out.push_str(concat!("{\"", $tag, "\":\""));
+                out.push_str(self.kind());
+                out.push('"');
+                match self {
+                    $($ty::$variant { $($field,)* $($inline)? } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.encode(out);
+                        )*
+                        $(
+                            out.push(',');
+                            $inline.encode_fields(out);
+                        )?
+                    })+
+                }
+                out.push('}');
+            }
+
+            fn parse(v: &Json) -> Result<Self, GccoError> {
+                match v.field($tag)?.as_str($tag)? {
+                    $($name => Ok($ty::$variant {
+                        $($field: field(v, stringify!($field))?,)*
+                        $($inline: Wire::parse(v)?)?
+                    }),)+
+                    other => Err(GccoError::Parse(format!(
+                        concat!("unknown ", $what, " \"{}\""),
+                        other
+                    ))),
+                }
+            }
         }
     };
-    format!(
-        "{{\"dj_pp\":{},\"rj_rms\":{},\"sj_pp\":{},\"sj_freq_norm\":{},\"ckj_rms\":{},\
-         \"cid_max\":{},\"run_dist\":{},\"tap\":{},\"freq_offset\":{},\"edge_model\":{},\
-         \"include_slip\":{},\"gating_tau_ui\":{},\"grid_step\":{}}}",
-        json_f64(spec.dj_pp),
-        json_f64(spec.rj_rms),
-        json_f64(spec.sj_pp),
-        json_f64(spec.sj_freq_norm),
-        json_f64(spec.ckj_rms),
-        spec.cid_max,
-        run_dist,
-        json_string(tap_str(spec.tap)),
-        json_f64(spec.freq_offset),
-        json_string(match spec.edge_model {
-            EdgeModel::ResyncReferenced => "resync_referenced",
-            EdgeModel::IndependentEdges => "independent_edges",
-        }),
-        spec.include_slip,
-        spec.gating_tau_ui.map_or("null".to_string(), json_f64),
-        json_f64(spec.grid_step),
-    )
+}
+
+wire_enum!(pub EvalRequest, "type", "request type" {
+    BerPoint => "ber_point" { spec, sj },
+    BerGrid => "ber_grid" { spec, amps_pp, freqs_norm },
+    JtolCurve => "jtol_curve" { spec, freqs_norm, target_ber },
+    FtolSearch => "ftol_search" { spec, target_ber },
+    PowerScan => "power_scan" { scan },
+    DsimRun => "dsim_run" { run },
+    MultiChannel => "multi_channel" { mc },
+    Optimize => "optimize" { opt },
+    Baseline => "baseline" { arch, spec, metric },
+});
+
+wire_enum!(pub EvalResponse, "type", "response type" {
+    Scalar => "scalar" { value },
+    Grid => "grid" { rows },
+    Jtol => "jtol" { points },
+    Ftol => "ftol" { value },
+    Power => "power" { sized, points },
+    Dsim => "dsim" { run },
+    MultiChannel => "multi_channel" { channels, worst_ber, yield_pct, mw_per_gbps, within_budget },
+    Optimize => "optimize" { ..out },
+    Baseline => "baseline" { out },
+});
+
+wire_enum!(BaselineMetric, "kind", "baseline metric" {
+    Track => "track" {},
+    CaptureRange => "capture_range" { hi },
+    JtolPoint => "jtol_point" { freq_norm },
+});
+
+/// Encodes a [`ModelSpec`] as a JSON object.
+pub fn encode_model_spec(spec: &ModelSpec) -> String {
+    to_json(spec)
 }
 
 /// Parses a [`ModelSpec`] from its JSON object.
@@ -491,199 +790,13 @@ pub fn encode_model_spec(spec: &ModelSpec) -> String {
 ///
 /// [`GccoError::Parse`] on a missing/mistyped field or unknown tag.
 pub fn parse_model_spec(v: &Json) -> Result<ModelSpec, GccoError> {
-    let run_dist_v = v.field("run_dist")?;
-    let run_dist = if let Some(n) = run_dist_v.get("geometric") {
-        RunDistSpec::Geometric(n.as_u64("run_dist.geometric")? as u32)
-    } else if let Some(counts) = run_dist_v.get("counts") {
-        RunDistSpec::Counts(
-            counts
-                .as_arr("run_dist.counts")?
-                .iter()
-                .map(|c| c.as_u64("run_dist.counts"))
-                .collect::<Result<Vec<_>, _>>()?,
-        )
-    } else {
-        return Err(GccoError::Parse(
-            "run_dist must carry \"geometric\" or \"counts\"".to_string(),
-        ));
-    };
-    let tap = parse_tap(v.field("tap")?.as_str("tap")?)?;
-    let edge_model = match v.field("edge_model")?.as_str("edge_model")? {
-        "resync_referenced" => EdgeModel::ResyncReferenced,
-        "independent_edges" => EdgeModel::IndependentEdges,
-        other => return Err(GccoError::Parse(format!("unknown edge_model \"{other}\""))),
-    };
-    let gating_tau_ui = match v.field("gating_tau_ui")? {
-        Json::Null => None,
-        tau => Some(tau.as_f64("gating_tau_ui")?),
-    };
-    Ok(ModelSpec {
-        dj_pp: v.field("dj_pp")?.as_f64("dj_pp")?,
-        rj_rms: v.field("rj_rms")?.as_f64("rj_rms")?,
-        sj_pp: v.field("sj_pp")?.as_f64("sj_pp")?,
-        sj_freq_norm: v.field("sj_freq_norm")?.as_f64("sj_freq_norm")?,
-        ckj_rms: v.field("ckj_rms")?.as_f64("ckj_rms")?,
-        cid_max: v.field("cid_max")?.as_u64("cid_max")? as u32,
-        run_dist,
-        tap,
-        freq_offset: v.field("freq_offset")?.as_f64("freq_offset")?,
-        edge_model,
-        include_slip: v.field("include_slip")?.as_bool("include_slip")?,
-        gating_tau_ui,
-        grid_step: v.field("grid_step")?.as_f64("grid_step")?,
-    })
+    ModelSpec::parse(v)
 }
-
-// ---------------------------------------------------------------------
-// EvalRequest
-// ---------------------------------------------------------------------
 
 /// Encodes an [`EvalRequest`] as a JSON object (the envelope's
 /// `"request"` payload).
 pub fn encode_request(req: &EvalRequest) -> String {
-    match req {
-        EvalRequest::BerPoint { spec, sj } => {
-            let sj = match sj {
-                None => "null".to_string(),
-                Some(sj) => format!(
-                    "{{\"amplitude_pp\":{},\"freq_norm\":{}}}",
-                    json_f64(sj.amplitude_pp),
-                    json_f64(sj.freq_norm)
-                ),
-            };
-            format!(
-                "{{\"type\":\"ber_point\",\"spec\":{},\"sj\":{}}}",
-                encode_model_spec(spec),
-                sj
-            )
-        }
-        EvalRequest::BerGrid {
-            spec,
-            amps_pp,
-            freqs_norm,
-        } => format!(
-            "{{\"type\":\"ber_grid\",\"spec\":{},\"amps_pp\":{},\"freqs_norm\":{}}}",
-            encode_model_spec(spec),
-            json_f64_list(amps_pp),
-            json_f64_list(freqs_norm)
-        ),
-        EvalRequest::JtolCurve {
-            spec,
-            freqs_norm,
-            target_ber,
-        } => format!(
-            "{{\"type\":\"jtol_curve\",\"spec\":{},\"freqs_norm\":{},\"target_ber\":{}}}",
-            encode_model_spec(spec),
-            json_f64_list(freqs_norm),
-            json_f64(*target_ber)
-        ),
-        EvalRequest::FtolSearch { spec, target_ber } => format!(
-            "{{\"type\":\"ftol_search\",\"spec\":{},\"target_ber\":{}}}",
-            encode_model_spec(spec),
-            json_f64(*target_ber)
-        ),
-        EvalRequest::PowerScan { scan } => format!(
-            "{{\"type\":\"power_scan\",\"scan\":{{\"bit_rate_gbps\":{},\"swing_v\":{},\
-             \"n_stages\":{},\"cid\":{},\"eta\":{},\"sigma_ui_target\":{},\"iss_min_ua\":{},\
-             \"iss_max_ua\":{},\"steps\":{},\"iss_sizing_max_a\":{}}}}}",
-            json_f64(scan.bit_rate_gbps),
-            json_f64(scan.swing_v),
-            scan.n_stages,
-            scan.cid,
-            json_f64(scan.eta),
-            json_f64(scan.sigma_ui_target),
-            json_f64(scan.iss_min_ua),
-            json_f64(scan.iss_max_ua),
-            scan.steps,
-            json_f64(scan.iss_sizing_max_a)
-        ),
-        EvalRequest::DsimRun { run } => format!(
-            "{{\"type\":\"dsim_run\",\"run\":{{\"seed\":{},\"stages\":{},\"stage_delay_ps\":{},\
-             \"jitter_rel\":{},\"duration_ns\":{}}}}}",
-            run.seed,
-            run.stages,
-            json_f64(run.stage_delay_ps),
-            json_f64(run.jitter_rel),
-            json_f64(run.duration_ns)
-        ),
-        EvalRequest::MultiChannel { mc } => format!(
-            "{{\"type\":\"multi_channel\",\"mc\":{{\"channels\":{},\"mismatch_sigma\":{},\
-             \"ripple_rms_ui\":{},\"seed\":{},\"bit_rate_gbps\":{},\"target_ber\":{},\
-             \"spec\":{}}}}}",
-            mc.channels,
-            json_f64(mc.mismatch_sigma),
-            json_f64(mc.ripple_rms_ui),
-            mc.seed,
-            json_f64(mc.bit_rate_gbps),
-            json_f64(mc.target_ber),
-            encode_model_spec(&mc.spec)
-        ),
-        EvalRequest::Optimize { opt } => {
-            let mut taps = String::from("[");
-            for (i, &tap) in opt.taps.iter().enumerate() {
-                if i > 0 {
-                    taps.push(',');
-                }
-                taps.push_str(&json_string(tap_str(tap)));
-            }
-            taps.push(']');
-            let mut cids = String::from("[");
-            for (i, cid) in opt.cids.iter().enumerate() {
-                if i > 0 {
-                    cids.push(',');
-                }
-                let _ = write!(cids, "{cid}");
-            }
-            cids.push(']');
-            format!(
-                "{{\"type\":\"optimize\",\"opt\":{{\"base\":{},\"target_ber\":{},\
-                 \"budget_mw_per_gbps\":{},\"bit_rate_gbps\":{},\"freq_margin\":{},\
-                 \"margin_hi\":{},\"taps\":{},\"cids\":{},\"ckj_lo\":{},\"ckj_hi\":{},\
-                 \"rel_tol\":{},\"seed\":{},\"max_probes\":{}}}}}",
-                encode_model_spec(&opt.base),
-                json_f64(opt.target_ber),
-                json_f64(opt.budget_mw_per_gbps),
-                json_f64(opt.bit_rate_gbps),
-                json_f64(opt.freq_margin),
-                json_f64(opt.margin_hi),
-                taps,
-                cids,
-                json_f64(opt.ckj_lo),
-                json_f64(opt.ckj_hi),
-                json_f64(opt.rel_tol),
-                opt.seed,
-                opt.max_probes
-            )
-        }
-        EvalRequest::Baseline { arch, spec, metric } => {
-            let metric = match metric {
-                BaselineMetric::Track => "{\"kind\":\"track\"}".to_string(),
-                BaselineMetric::CaptureRange { hi } => {
-                    format!("{{\"kind\":\"capture_range\",\"hi\":{}}}", json_f64(*hi))
-                }
-                BaselineMetric::JtolPoint { freq_norm } => format!(
-                    "{{\"kind\":\"jtol_point\",\"freq_norm\":{}}}",
-                    json_f64(*freq_norm)
-                ),
-            };
-            format!(
-                "{{\"type\":\"baseline\",\"arch\":{},\"spec\":{{\"bits\":{},\"seed\":{},\
-                 \"bit_rate_gbps\":{},\"freq_offset\":{},\"kp\":{},\"ki\":{},\"sj_amp_pp\":{},\
-                 \"sj_freq_norm\":{},\"rj_rms_ui\":{}}},\"metric\":{}}}",
-                json_string(arch.wire_name()),
-                spec.bits,
-                spec.seed,
-                json_f64(spec.bit_rate_gbps),
-                json_f64(spec.freq_offset),
-                json_f64(spec.kp),
-                json_f64(spec.ki),
-                json_f64(spec.sj_amp_pp),
-                json_f64(spec.sj_freq_norm),
-                json_f64(spec.rj_rms_ui),
-                metric
-            )
-        }
-    }
+    to_json(req)
 }
 
 /// Parses an [`EvalRequest`] from its JSON object.
@@ -692,308 +805,12 @@ pub fn encode_request(req: &EvalRequest) -> String {
 ///
 /// [`GccoError::Parse`] on malformed input.
 pub fn parse_request(v: &Json) -> Result<EvalRequest, GccoError> {
-    match v.field("type")?.as_str("type")? {
-        "ber_point" => {
-            let sj = match v.field("sj")? {
-                Json::Null => None,
-                sj => Some(SjOverride {
-                    amplitude_pp: sj.field("amplitude_pp")?.as_f64("sj.amplitude_pp")?,
-                    freq_norm: sj.field("freq_norm")?.as_f64("sj.freq_norm")?,
-                }),
-            };
-            Ok(EvalRequest::BerPoint {
-                spec: parse_model_spec(v.field("spec")?)?,
-                sj,
-            })
-        }
-        "ber_grid" => Ok(EvalRequest::BerGrid {
-            spec: parse_model_spec(v.field("spec")?)?,
-            amps_pp: parse_f64_list(v.field("amps_pp")?, "amps_pp")?,
-            freqs_norm: parse_f64_list(v.field("freqs_norm")?, "freqs_norm")?,
-        }),
-        "jtol_curve" => Ok(EvalRequest::JtolCurve {
-            spec: parse_model_spec(v.field("spec")?)?,
-            freqs_norm: parse_f64_list(v.field("freqs_norm")?, "freqs_norm")?,
-            target_ber: v.field("target_ber")?.as_f64("target_ber")?,
-        }),
-        "ftol_search" => Ok(EvalRequest::FtolSearch {
-            spec: parse_model_spec(v.field("spec")?)?,
-            target_ber: v.field("target_ber")?.as_f64("target_ber")?,
-        }),
-        "power_scan" => {
-            let s = v.field("scan")?;
-            Ok(EvalRequest::PowerScan {
-                scan: PowerScanSpec {
-                    bit_rate_gbps: s.field("bit_rate_gbps")?.as_f64("bit_rate_gbps")?,
-                    swing_v: s.field("swing_v")?.as_f64("swing_v")?,
-                    n_stages: s.field("n_stages")?.as_u64("n_stages")? as u32,
-                    cid: s.field("cid")?.as_u64("cid")? as u32,
-                    eta: s.field("eta")?.as_f64("eta")?,
-                    sigma_ui_target: s.field("sigma_ui_target")?.as_f64("sigma_ui_target")?,
-                    iss_min_ua: s.field("iss_min_ua")?.as_f64("iss_min_ua")?,
-                    iss_max_ua: s.field("iss_max_ua")?.as_f64("iss_max_ua")?,
-                    steps: s.field("steps")?.as_u64("steps")? as u32,
-                    iss_sizing_max_a: s.field("iss_sizing_max_a")?.as_f64("iss_sizing_max_a")?,
-                },
-            })
-        }
-        "dsim_run" => {
-            let r = v.field("run")?;
-            Ok(EvalRequest::DsimRun {
-                run: DsimRunSpec {
-                    seed: r.field("seed")?.as_u64("seed")?,
-                    stages: r.field("stages")?.as_u64("stages")? as u32,
-                    stage_delay_ps: r.field("stage_delay_ps")?.as_f64("stage_delay_ps")?,
-                    jitter_rel: r.field("jitter_rel")?.as_f64("jitter_rel")?,
-                    duration_ns: r.field("duration_ns")?.as_f64("duration_ns")?,
-                },
-            })
-        }
-        "multi_channel" => {
-            let m = v.field("mc")?;
-            Ok(EvalRequest::MultiChannel {
-                mc: MultiChannelSpec {
-                    channels: m.field("channels")?.as_u64("channels")? as u32,
-                    mismatch_sigma: m.field("mismatch_sigma")?.as_f64("mismatch_sigma")?,
-                    ripple_rms_ui: m.field("ripple_rms_ui")?.as_f64("ripple_rms_ui")?,
-                    seed: m.field("seed")?.as_u64("seed")?,
-                    bit_rate_gbps: m.field("bit_rate_gbps")?.as_f64("bit_rate_gbps")?,
-                    target_ber: m.field("target_ber")?.as_f64("target_ber")?,
-                    spec: parse_model_spec(m.field("spec")?)?,
-                },
-            })
-        }
-        "optimize" => {
-            let o = v.field("opt")?;
-            let taps = o
-                .field("taps")?
-                .as_arr("taps")?
-                .iter()
-                .map(|t| parse_tap(t.as_str("taps")?))
-                .collect::<Result<Vec<_>, GccoError>>()?;
-            let cids = o
-                .field("cids")?
-                .as_arr("cids")?
-                .iter()
-                .map(|c| c.as_u64("cids").map(|n| n as u32))
-                .collect::<Result<Vec<_>, GccoError>>()?;
-            Ok(EvalRequest::Optimize {
-                opt: OptimizeSpec {
-                    base: parse_model_spec(o.field("base")?)?,
-                    target_ber: o.field("target_ber")?.as_f64("target_ber")?,
-                    budget_mw_per_gbps: o
-                        .field("budget_mw_per_gbps")?
-                        .as_f64("budget_mw_per_gbps")?,
-                    bit_rate_gbps: o.field("bit_rate_gbps")?.as_f64("bit_rate_gbps")?,
-                    freq_margin: o.field("freq_margin")?.as_f64("freq_margin")?,
-                    margin_hi: o.field("margin_hi")?.as_f64("margin_hi")?,
-                    taps,
-                    cids,
-                    ckj_lo: o.field("ckj_lo")?.as_f64("ckj_lo")?,
-                    ckj_hi: o.field("ckj_hi")?.as_f64("ckj_hi")?,
-                    rel_tol: o.field("rel_tol")?.as_f64("rel_tol")?,
-                    seed: o.field("seed")?.as_u64("seed")?,
-                    max_probes: o.field("max_probes")?.as_u64("max_probes")?,
-                },
-            })
-        }
-        "baseline" => {
-            let arch_name = v.field("arch")?.as_str("arch")?;
-            let arch = CdrArchKind::from_wire(arch_name).ok_or_else(|| {
-                GccoError::Parse(format!("unknown baseline arch \"{arch_name}\""))
-            })?;
-            let s = v.field("spec")?;
-            let m = v.field("metric")?;
-            let metric = match m.field("kind")?.as_str("metric.kind")? {
-                "track" => BaselineMetric::Track,
-                "capture_range" => BaselineMetric::CaptureRange {
-                    hi: m.field("hi")?.as_f64("metric.hi")?,
-                },
-                "jtol_point" => BaselineMetric::JtolPoint {
-                    freq_norm: m.field("freq_norm")?.as_f64("metric.freq_norm")?,
-                },
-                other => {
-                    return Err(GccoError::Parse(format!(
-                        "unknown baseline metric \"{other}\""
-                    )))
-                }
-            };
-            Ok(EvalRequest::Baseline {
-                arch,
-                spec: BaselineSpec {
-                    bits: s.field("bits")?.as_u64("bits")? as u32,
-                    seed: s.field("seed")?.as_u64("seed")?,
-                    bit_rate_gbps: s.field("bit_rate_gbps")?.as_f64("bit_rate_gbps")?,
-                    freq_offset: s.field("freq_offset")?.as_f64("freq_offset")?,
-                    kp: s.field("kp")?.as_f64("kp")?,
-                    ki: s.field("ki")?.as_f64("ki")?,
-                    sj_amp_pp: s.field("sj_amp_pp")?.as_f64("sj_amp_pp")?,
-                    sj_freq_norm: s.field("sj_freq_norm")?.as_f64("sj_freq_norm")?,
-                    rj_rms_ui: s.field("rj_rms_ui")?.as_f64("rj_rms_ui")?,
-                },
-                metric,
-            })
-        }
-        other => Err(GccoError::Parse(format!(
-            "unknown request type \"{other}\""
-        ))),
-    }
+    EvalRequest::parse(v)
 }
-
-// ---------------------------------------------------------------------
-// EvalResponse
-// ---------------------------------------------------------------------
 
 /// Encodes an [`EvalResponse`] as a JSON object.
 pub fn encode_response(resp: &EvalResponse) -> String {
-    match resp {
-        EvalResponse::Scalar { value } => {
-            format!("{{\"type\":\"scalar\",\"value\":{}}}", json_f64(*value))
-        }
-        EvalResponse::Grid { rows } => {
-            let mut out = String::from("{\"type\":\"grid\",\"rows\":[");
-            for (i, row) in rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_f64_list(row));
-            }
-            out.push_str("]}");
-            out
-        }
-        EvalResponse::Jtol { points } => {
-            let mut out = String::from("{\"type\":\"jtol\",\"points\":[");
-            for (i, p) in points.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"freq_norm\":{},\"amplitude_pp\":{},\"censored\":{}}}",
-                    json_f64(p.freq_norm),
-                    json_f64(p.amplitude_pp),
-                    p.censored
-                );
-            }
-            out.push_str("]}");
-            out
-        }
-        EvalResponse::Ftol { value } => {
-            format!("{{\"type\":\"ftol\",\"value\":{}}}", json_f64(*value))
-        }
-        EvalResponse::Power { sized, points } => {
-            let sized = match sized {
-                None => "null".to_string(),
-                Some(c) => format!(
-                    "{{\"iss_a\":{},\"swing_v\":{},\"delay_fs\":{}}}",
-                    json_f64(c.iss_a),
-                    json_f64(c.swing_v),
-                    c.delay_fs
-                ),
-            };
-            let mut out = format!("{{\"type\":\"power\",\"sized\":{sized},\"points\":[");
-            for (i, p) in points.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"iss_a\":{},\"ring_power_mw\":{},\"sigma_ui\":{}}}",
-                    json_f64(p.iss_a),
-                    json_f64(p.ring_power_mw),
-                    json_f64(p.sigma_ui)
-                );
-            }
-            out.push_str("]}");
-            out
-        }
-        EvalResponse::Dsim { run } => format!(
-            "{{\"type\":\"dsim\",\"run\":{{\"period_ps_mean\":{},\"period_ps_rms\":{},\
-             \"rising_edges\":{},\"events\":{}}}}}",
-            json_f64(run.period_ps_mean),
-            json_f64(run.period_ps_rms),
-            run.rising_edges,
-            run.events
-        ),
-        EvalResponse::MultiChannel {
-            channels,
-            worst_ber,
-            yield_pct,
-            mw_per_gbps,
-            within_budget,
-        } => {
-            let mut out = String::from("{\"type\":\"multi_channel\",\"channels\":[");
-            for (i, c) in channels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"index\":{},\"freq_offset\":{},\"ber\":{},\"settling_ui\":{}}}",
-                    c.index,
-                    json_f64(c.freq_offset),
-                    json_f64(c.ber),
-                    json_f64(c.settling_ui)
-                );
-            }
-            let _ = write!(
-                out,
-                "],\"worst_ber\":{},\"yield_pct\":{},\"mw_per_gbps\":{},\"within_budget\":{}}}",
-                json_f64(*worst_ber),
-                json_f64(*yield_pct),
-                mw_per_gbps.map_or("null".to_string(), json_f64),
-                within_budget
-            );
-            out
-        }
-        EvalResponse::Optimize { out } => {
-            let best = match &out.best {
-                None => "null".to_string(),
-                Some(b) => format!(
-                    "{{\"spec\":{},\"mw_per_gbps\":{},\"worst_ber\":{},\"margin\":{},\
-                     \"settling_ui\":{}}}",
-                    encode_model_spec(&b.spec),
-                    json_f64(b.mw_per_gbps),
-                    json_f64(b.worst_ber),
-                    json_f64(b.margin),
-                    json_f64(b.settling_ui)
-                ),
-            };
-            let mut s = format!("{{\"type\":\"optimize\",\"best\":{best},\"per_combo\":[");
-            for (i, c) in out.per_combo.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"tap\":{},\"cid_max\":{},\"ckj_rms\":{},\"mw_per_gbps\":{},\
-                     \"worst_ber\":{},\"probes\":{}}}",
-                    json_string(tap_str(c.tap)),
-                    c.cid_max,
-                    c.ckj_rms.map_or("null".to_string(), json_f64),
-                    c.mw_per_gbps.map_or("null".to_string(), json_f64),
-                    c.worst_ber.map_or("null".to_string(), json_f64),
-                    c.probes
-                );
-            }
-            let _ = write!(
-                s,
-                "],\"probes\":{},\"store_hits\":{},\"converged\":{}}}",
-                out.probes, out.store_hits, out.converged
-            );
-            s
-        }
-        EvalResponse::Baseline { out } => format!(
-            "{{\"type\":\"baseline\",\"out\":{{\"lock_bits\":{},\"errors\":{},\"updates\":{},\
-             \"residual_rms_ui\":{},\"capture_range\":{},\"jtol_amp_pp\":{}}}}}",
-            out.lock_bits.map_or("null".to_string(), |b| b.to_string()),
-            out.errors,
-            out.updates,
-            out.residual_rms_ui.map_or("null".to_string(), json_f64),
-            out.capture_range.map_or("null".to_string(), json_f64),
-            out.jtol_amp_pp.map_or("null".to_string(), json_f64)
-        ),
-    }
+    to_json(resp)
 }
 
 /// Parses an [`EvalResponse`] from its JSON object.
@@ -1002,161 +819,7 @@ pub fn encode_response(resp: &EvalResponse) -> String {
 ///
 /// [`GccoError::Parse`] on malformed input.
 pub fn parse_response(v: &Json) -> Result<EvalResponse, GccoError> {
-    match v.field("type")?.as_str("type")? {
-        "scalar" => Ok(EvalResponse::Scalar {
-            value: v.field("value")?.as_f64("value")?,
-        }),
-        "grid" => Ok(EvalResponse::Grid {
-            rows: v
-                .field("rows")?
-                .as_arr("rows")?
-                .iter()
-                .map(|row| parse_f64_list(row, "rows"))
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        "jtol" => Ok(EvalResponse::Jtol {
-            points: v
-                .field("points")?
-                .as_arr("points")?
-                .iter()
-                .map(|p| {
-                    Ok(JtolPointOut {
-                        freq_norm: p.field("freq_norm")?.as_f64("freq_norm")?,
-                        amplitude_pp: p.field("amplitude_pp")?.as_f64("amplitude_pp")?,
-                        censored: p.field("censored")?.as_bool("censored")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, GccoError>>()?,
-        }),
-        "ftol" => Ok(EvalResponse::Ftol {
-            value: v.field("value")?.as_f64("value")?,
-        }),
-        "power" => {
-            let sized = match v.field("sized")? {
-                Json::Null => None,
-                c => Some(SizedCellOut {
-                    iss_a: c.field("iss_a")?.as_f64("sized.iss_a")?,
-                    swing_v: c.field("swing_v")?.as_f64("sized.swing_v")?,
-                    delay_fs: c.field("delay_fs")?.as_i64("sized.delay_fs")?,
-                }),
-            };
-            Ok(EvalResponse::Power {
-                sized,
-                points: v
-                    .field("points")?
-                    .as_arr("points")?
-                    .iter()
-                    .map(|p| {
-                        Ok(PowerPointOut {
-                            iss_a: p.field("iss_a")?.as_f64("iss_a")?,
-                            ring_power_mw: p.field("ring_power_mw")?.as_f64("ring_power_mw")?,
-                            sigma_ui: p.field("sigma_ui")?.as_f64("sigma_ui")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, GccoError>>()?,
-            })
-        }
-        "dsim" => {
-            let r = v.field("run")?;
-            Ok(EvalResponse::Dsim {
-                run: DsimRunOut {
-                    period_ps_mean: r.field("period_ps_mean")?.as_f64("period_ps_mean")?,
-                    period_ps_rms: r.field("period_ps_rms")?.as_f64("period_ps_rms")?,
-                    rising_edges: r.field("rising_edges")?.as_u64("rising_edges")?,
-                    events: r.field("events")?.as_u64("events")?,
-                },
-            })
-        }
-        "multi_channel" => Ok(EvalResponse::MultiChannel {
-            channels: v
-                .field("channels")?
-                .as_arr("channels")?
-                .iter()
-                .map(|c| {
-                    Ok(ChannelOut {
-                        index: c.field("index")?.as_u64("index")? as u32,
-                        freq_offset: c.field("freq_offset")?.as_f64("freq_offset")?,
-                        ber: c.field("ber")?.as_f64("ber")?,
-                        settling_ui: c.field("settling_ui")?.as_f64("settling_ui")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, GccoError>>()?,
-            worst_ber: v.field("worst_ber")?.as_f64("worst_ber")?,
-            yield_pct: v.field("yield_pct")?.as_f64("yield_pct")?,
-            mw_per_gbps: match v.field("mw_per_gbps")? {
-                Json::Null => None,
-                m => Some(m.as_f64("mw_per_gbps")?),
-            },
-            within_budget: v.field("within_budget")?.as_bool("within_budget")?,
-        }),
-        "optimize" => {
-            let best = match v.field("best")? {
-                Json::Null => None,
-                b => Some(BestDesignOut {
-                    spec: parse_model_spec(b.field("spec")?)?,
-                    mw_per_gbps: b.field("mw_per_gbps")?.as_f64("best.mw_per_gbps")?,
-                    worst_ber: b.field("worst_ber")?.as_f64("best.worst_ber")?,
-                    margin: b.field("margin")?.as_f64("best.margin")?,
-                    settling_ui: b.field("settling_ui")?.as_f64("best.settling_ui")?,
-                }),
-            };
-            let per_combo = v
-                .field("per_combo")?
-                .as_arr("per_combo")?
-                .iter()
-                .map(|c| {
-                    let opt_f64 = |name: &str| -> Result<Option<f64>, GccoError> {
-                        match c.field(name)? {
-                            Json::Null => Ok(None),
-                            x => Ok(Some(x.as_f64(name)?)),
-                        }
-                    };
-                    Ok(ComboReportOut {
-                        tap: parse_tap(c.field("tap")?.as_str("per_combo.tap")?)?,
-                        cid_max: c.field("cid_max")?.as_u64("cid_max")? as u32,
-                        ckj_rms: opt_f64("ckj_rms")?,
-                        mw_per_gbps: opt_f64("mw_per_gbps")?,
-                        worst_ber: opt_f64("worst_ber")?,
-                        probes: c.field("probes")?.as_u64("probes")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, GccoError>>()?;
-            Ok(EvalResponse::Optimize {
-                out: OptimizeOut {
-                    best,
-                    per_combo,
-                    probes: v.field("probes")?.as_u64("probes")?,
-                    store_hits: v.field("store_hits")?.as_u64("store_hits")?,
-                    converged: v.field("converged")?.as_bool("converged")?,
-                },
-            })
-        }
-        "baseline" => {
-            let o = v.field("out")?;
-            let opt_f64 = |name: &str| -> Result<Option<f64>, GccoError> {
-                match o.field(name)? {
-                    Json::Null => Ok(None),
-                    x => Ok(Some(x.as_f64(name)?)),
-                }
-            };
-            Ok(EvalResponse::Baseline {
-                out: BaselineOut {
-                    lock_bits: match o.field("lock_bits")? {
-                        Json::Null => None,
-                        b => Some(b.as_u64("lock_bits")?),
-                    },
-                    errors: o.field("errors")?.as_u64("errors")?,
-                    updates: o.field("updates")?.as_u64("updates")?,
-                    residual_rms_ui: opt_f64("residual_rms_ui")?,
-                    capture_range: opt_f64("capture_range")?,
-                    jtol_amp_pp: opt_f64("jtol_amp_pp")?,
-                },
-            })
-        }
-        other => Err(GccoError::Parse(format!(
-            "unknown response type \"{other}\""
-        ))),
-    }
+    EvalResponse::parse(v)
 }
 
 // ---------------------------------------------------------------------
@@ -1210,7 +873,7 @@ fn parse_envelope(v: &Json) -> Result<Envelope, GccoError> {
         id: v.field("id")?.as_u64("id")?,
         v: version,
         deadline_ms,
-        request: parse_request(v.field("request")?)?,
+        request: field(v, "request")?,
     })
 }
 
@@ -1260,17 +923,21 @@ pub fn parse_client_line(line: &str) -> Result<ClientLine, GccoError> {
 /// A `v: None` envelope is emitted without a `"v"` field — a shape the
 /// parse gate rejects, kept encodable for tests and version probes.
 pub fn encode_envelope(env: &Envelope) -> String {
-    let deadline = env
-        .deadline_ms
-        .map_or("null".to_string(), |d| d.to_string());
-    let version = env.v.map_or(String::new(), |v| format!("\"v\":{v},"));
-    format!(
-        "{{\"id\":{},{}\"deadline_ms\":{},\"request\":{}}}",
-        env.id,
-        version,
-        deadline,
-        encode_request(&env.request)
-    )
+    let mut out = String::new();
+    push_envelope(&mut out, env);
+    out
+}
+
+fn push_envelope(out: &mut String, env: &Envelope) {
+    let _ = write!(out, "{{\"id\":{},", env.id);
+    if let Some(v) = env.v {
+        let _ = write!(out, "\"v\":{v},");
+    }
+    out.push_str("\"deadline_ms\":");
+    env.deadline_ms.encode(out);
+    out.push_str(",\"request\":");
+    env.request.encode(out);
+    out.push('}');
 }
 
 /// Encodes a batch of envelopes as one client line (no trailing newline).
@@ -1280,7 +947,7 @@ pub fn encode_batch(envs: &[Envelope]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&encode_envelope(env));
+        push_envelope(&mut out, env);
     }
     out.push_str("]}");
     out
@@ -1301,16 +968,9 @@ pub fn encode_result_line_with_note(
     note: Option<&str>,
     result: &Result<EvalResponse, GccoError>,
 ) -> String {
-    let note = note.map_or(String::new(), |n| format!("\"note\":{},", json_string(n)));
     match result {
-        Ok(resp) => format!("{{\"id\":{},{}\"ok\":{}}}", id, note, encode_response(resp)),
-        Err(e) => format!(
-            "{{\"id\":{},{}\"err\":{{\"kind\":{},\"detail\":{}}}}}",
-            id,
-            note,
-            json_string(e.kind()),
-            json_string(&e.detail())
-        ),
+        Ok(resp) => result_line(id, note, Ok(resp)),
+        Err(e) => result_line(id, note, Err((e.kind(), &e.detail()))),
     }
 }
 
@@ -1323,25 +983,43 @@ pub fn encode_result_line_with_note(
 /// byte, keeping cluster results comparable to a single-server run with
 /// `==` on the raw wire text.
 pub fn encode_parsed_result_line(line: &ResultLine) -> String {
-    let note = line
-        .note
-        .as_deref()
-        .map_or(String::new(), |n| format!("\"note\":{},", json_string(n)));
-    match &line.result {
-        Ok(resp) => format!(
-            "{{\"id\":{},{}\"ok\":{}}}",
-            line.id,
-            note,
-            encode_response(resp)
-        ),
-        Err((kind, detail)) => format!(
-            "{{\"id\":{},{}\"err\":{{\"kind\":{},\"detail\":{}}}}}",
-            line.id,
-            note,
-            json_string(kind),
-            json_string(detail)
-        ),
+    let result = match &line.result {
+        Ok(resp) => Ok(resp),
+        Err((kind, detail)) => Err((kind.as_str(), detail.as_str())),
+    };
+    result_line(line.id, line.note.as_deref(), result)
+}
+
+/// The one writer of response lines, freshly encoded or forwarded.
+fn result_line(id: u64, note: Option<&str>, result: Result<&EvalResponse, (&str, &str)>) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{{\"id\":{id},");
+    if let Some(note) = note {
+        out.push_str("\"note\":");
+        push_json_string(&mut out, note);
+        out.push(',');
     }
+    match result {
+        Ok(resp) => {
+            out.push_str("\"ok\":");
+            resp.encode(&mut out);
+        }
+        Err((kind, detail)) => {
+            out.push_str("\"err\":");
+            push_err(&mut out, kind, detail);
+        }
+    }
+    out.push('}');
+    out
+}
+
+/// Writes a wire error object: `{"kind":...,"detail":...}`.
+fn push_err(out: &mut String, kind: &str, detail: &str) {
+    out.push_str("{\"kind\":");
+    push_json_string(out, kind);
+    out.push_str(",\"detail\":");
+    push_json_string(out, detail);
+    out.push('}');
 }
 
 /// Encodes an **id-less** error line (no trailing newline):
@@ -1351,11 +1029,10 @@ pub fn encode_parsed_result_line(line: &ResultLine) -> String {
 /// mistaken for the response to a legitimate request (every envelope
 /// response carries an `"id"` field; this line has none).
 pub fn encode_error_line(e: &GccoError) -> String {
-    format!(
-        "{{\"err\":{{\"kind\":{},\"detail\":{}}}}}",
-        json_string(e.kind()),
-        json_string(&e.detail())
-    )
+    let mut out = String::from("{\"err\":");
+    push_err(&mut out, e.kind(), &e.detail());
+    out.push('}');
+    out
 }
 
 /// A response line parsed from the wire, error side kept as

@@ -70,6 +70,6 @@ pub use optimize::{
 };
 pub use request::{
     ChannelOut, DsimRunOut, DsimRunSpec, EvalRequest, EvalResponse, JtolPointOut, MultiChannelSpec,
-    PowerPointOut, PowerScanSpec, RequestParts, SizedCellOut, SjOverride,
+    PowerPointOut, PowerScanSpec, SizedCellOut, SjOverride,
 };
 pub use spec::{ModelSpec, ModelSpecBuilder, RunDistSpec, DEFAULT_GRID_STEP};

@@ -358,74 +358,22 @@ pub enum EvalRequest {
     },
 }
 
-/// The variant-independent facets of an [`EvalRequest`], resolved by one
-/// per-variant table ([`EvalRequest::parts`]) instead of a match arm per
-/// accessor. Adding a request kind means adding one row here; `kind()`,
-/// `model_spec()`, `cache_key()`, and `validate()` all read from it.
-#[derive(Clone, Copy, Debug)]
-pub struct RequestParts<'a> {
-    /// Short lowercase tag naming the variant (the wire `type` field).
-    pub kind: &'static str,
-    /// The model spec the request evaluates, when it has one.
-    pub model_spec: Option<&'a ModelSpec>,
-}
-
 impl EvalRequest {
-    /// The single variant table: every accessor that used to duplicate a
-    /// six-way match (`kind`, `model_spec`, the shared prefix of
-    /// `cache_key`, the spec check of `validate`) reads from this one
-    /// place.
-    pub fn parts(&self) -> RequestParts<'_> {
-        match self {
-            EvalRequest::BerPoint { spec, .. } => RequestParts {
-                kind: "ber_point",
-                model_spec: Some(spec),
-            },
-            EvalRequest::BerGrid { spec, .. } => RequestParts {
-                kind: "ber_grid",
-                model_spec: Some(spec),
-            },
-            EvalRequest::JtolCurve { spec, .. } => RequestParts {
-                kind: "jtol_curve",
-                model_spec: Some(spec),
-            },
-            EvalRequest::FtolSearch { spec, .. } => RequestParts {
-                kind: "ftol_search",
-                model_spec: Some(spec),
-            },
-            EvalRequest::PowerScan { .. } => RequestParts {
-                kind: "power_scan",
-                model_spec: None,
-            },
-            EvalRequest::DsimRun { .. } => RequestParts {
-                kind: "dsim_run",
-                model_spec: None,
-            },
-            EvalRequest::MultiChannel { mc } => RequestParts {
-                kind: "multi_channel",
-                model_spec: Some(&mc.spec),
-            },
-            EvalRequest::Optimize { opt } => RequestParts {
-                kind: "optimize",
-                model_spec: Some(&opt.base),
-            },
-            EvalRequest::Baseline { .. } => RequestParts {
-                kind: "baseline",
-                model_spec: None,
-            },
-        }
-    }
-
-    /// Short lowercase tag naming the variant (the wire `type` field).
-    pub fn kind(&self) -> &'static str {
-        self.parts().kind
-    }
-
     /// The model spec the request evaluates, when it has one (for
     /// [`EvalRequest::MultiChannel`], the *base* spec the lanes derive
     /// from).
     pub fn model_spec(&self) -> Option<&ModelSpec> {
-        self.parts().model_spec
+        match self {
+            EvalRequest::BerPoint { spec, .. }
+            | EvalRequest::BerGrid { spec, .. }
+            | EvalRequest::JtolCurve { spec, .. }
+            | EvalRequest::FtolSearch { spec, .. } => Some(spec),
+            EvalRequest::MultiChannel { mc } => Some(&mc.spec),
+            EvalRequest::Optimize { opt } => Some(&opt.base),
+            EvalRequest::PowerScan { .. }
+            | EvalRequest::DsimRun { .. }
+            | EvalRequest::Baseline { .. } => None,
+        }
     }
 
     /// A single-point BER request with the spec's own sinusoidal jitter.
@@ -518,10 +466,9 @@ impl EvalRequest {
                 let _ = write!(key, "{:016x}", v.to_bits());
             }
         }
-        let parts = self.parts();
         let mut key = String::with_capacity(256);
-        key.push_str(parts.kind);
-        if let Some(spec) = parts.model_spec {
+        key.push_str(self.kind());
+        if let Some(spec) = self.model_spec() {
             key.push('|');
             key.push_str(&spec.cache_key());
         }
@@ -683,11 +630,10 @@ impl EvalRequest {
             }
             Ok(())
         }
-        // The spec check is variant-independent: one table lookup instead
-        // of a `spec.validate()?` line repeated per arm. (For
-        // `MultiChannel` the base spec is checked here and the derived
-        // lanes below.)
-        if let Some(spec) = self.parts().model_spec {
+        // The spec check is variant-independent: one lookup instead of a
+        // `spec.validate()?` line repeated per arm. (For `MultiChannel`
+        // the base spec is checked here and the derived lanes below.)
+        if let Some(spec) = self.model_spec() {
             spec.validate()?;
         }
         match self {
@@ -734,8 +680,8 @@ impl EvalRequest {
             EvalRequest::PowerScan { scan } => scan.validate(),
             EvalRequest::DsimRun { run } => run.validate(),
             EvalRequest::MultiChannel { mc } => mc.validate(),
-            // `opt.validate()` re-checks the base spec the table lookup
-            // above already covered; harmless, and it keeps OptimizeSpec
+            // `opt.validate()` re-checks the base spec the lookup above
+            // already covered; harmless, and it keeps OptimizeSpec
             // self-contained for non-request callers.
             EvalRequest::Optimize { opt } => opt.validate(),
             EvalRequest::Baseline { spec, metric, .. } => {
@@ -890,23 +836,6 @@ pub enum EvalResponse {
         /// The measured trace summary and bisected metric value.
         out: BaselineOut,
     },
-}
-
-impl EvalResponse {
-    /// Short lowercase tag naming the variant (the wire `type` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            EvalResponse::Scalar { .. } => "scalar",
-            EvalResponse::Grid { .. } => "grid",
-            EvalResponse::Jtol { .. } => "jtol",
-            EvalResponse::Ftol { .. } => "ftol",
-            EvalResponse::Power { .. } => "power",
-            EvalResponse::Dsim { .. } => "dsim",
-            EvalResponse::MultiChannel { .. } => "multi_channel",
-            EvalResponse::Optimize { .. } => "optimize",
-            EvalResponse::Baseline { .. } => "baseline",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1081,130 +1010,6 @@ mod tests {
             reseeded.channel_specs()[0].freq_offset,
             lanes[0].freq_offset
         );
-    }
-
-    #[test]
-    fn cache_keys_are_distinct_across_variants_and_payloads() {
-        let spec = ModelSpec::paper_table1();
-        let reqs = [
-            EvalRequest::BerPoint {
-                spec: spec.clone(),
-                sj: None,
-            },
-            EvalRequest::BerPoint {
-                spec: spec.clone(),
-                sj: Some(SjOverride {
-                    amplitude_pp: 0.1,
-                    freq_norm: 0.1,
-                }),
-            },
-            EvalRequest::BerGrid {
-                spec: spec.clone(),
-                amps_pp: vec![0.1],
-                freqs_norm: vec![0.1],
-            },
-            EvalRequest::BerGrid {
-                spec: spec.clone(),
-                amps_pp: vec![0.1, 0.2],
-                freqs_norm: vec![0.1],
-            },
-            EvalRequest::JtolCurve {
-                spec: spec.clone(),
-                freqs_norm: vec![0.1],
-                target_ber: 1e-12,
-            },
-            EvalRequest::FtolSearch {
-                spec,
-                target_ber: 1e-12,
-            },
-            EvalRequest::PowerScan {
-                scan: PowerScanSpec::paper_design(),
-            },
-            EvalRequest::DsimRun {
-                run: DsimRunSpec::paper_ring(),
-            },
-            EvalRequest::DsimRun {
-                run: DsimRunSpec {
-                    seed: 2,
-                    ..DsimRunSpec::paper_ring()
-                },
-            },
-            EvalRequest::MultiChannel {
-                mc: MultiChannelSpec::paper_quad(),
-            },
-            EvalRequest::MultiChannel {
-                mc: MultiChannelSpec {
-                    seed: 2,
-                    ..MultiChannelSpec::paper_quad()
-                },
-            },
-            EvalRequest::MultiChannel {
-                mc: MultiChannelSpec {
-                    channels: 8,
-                    ..MultiChannelSpec::paper_quad()
-                },
-            },
-            EvalRequest::Optimize {
-                opt: OptimizeSpec::paper_flow(),
-            },
-            EvalRequest::Optimize {
-                opt: OptimizeSpec {
-                    seed: 2,
-                    ..OptimizeSpec::paper_flow()
-                },
-            },
-            EvalRequest::Optimize {
-                opt: OptimizeSpec {
-                    taps: vec![SamplingTap::Improved],
-                    ..OptimizeSpec::paper_flow()
-                },
-            },
-            EvalRequest::Optimize {
-                opt: OptimizeSpec {
-                    cids: vec![4, 5, 6],
-                    ..OptimizeSpec::paper_flow()
-                },
-            },
-            EvalRequest::Baseline {
-                arch: CdrArchKind::BangBang,
-                spec: BaselineSpec::typical(CdrArchKind::BangBang),
-                metric: BaselineMetric::Track,
-            },
-            EvalRequest::Baseline {
-                arch: CdrArchKind::BangBangFd,
-                spec: BaselineSpec::typical(CdrArchKind::BangBang),
-                metric: BaselineMetric::Track,
-            },
-            EvalRequest::Baseline {
-                arch: CdrArchKind::BangBang,
-                spec: BaselineSpec {
-                    seed: 2,
-                    ..BaselineSpec::typical(CdrArchKind::BangBang)
-                },
-                metric: BaselineMetric::Track,
-            },
-            EvalRequest::Baseline {
-                arch: CdrArchKind::BangBang,
-                spec: BaselineSpec::typical(CdrArchKind::BangBang),
-                metric: BaselineMetric::CaptureRange { hi: 0.1 },
-            },
-            EvalRequest::Baseline {
-                arch: CdrArchKind::BangBang,
-                spec: BaselineSpec::typical(CdrArchKind::BangBang),
-                metric: BaselineMetric::JtolPoint { freq_norm: 0.01 },
-            },
-        ];
-        let keys: Vec<String> = reqs.iter().map(EvalRequest::cache_key).collect();
-        for (i, a) in keys.iter().enumerate() {
-            assert!(a.starts_with(reqs[i].kind()), "{a}");
-            for b in &keys[i + 1..] {
-                assert_ne!(a, b, "distinct requests must never share a key");
-            }
-        }
-        // Keys are pure content functions: a clone keys identically.
-        for r in &reqs {
-            assert_eq!(r.cache_key(), r.clone().cache_key());
-        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use gcco_api::{
     SizedCellOut, SjOverride,
 };
 use gcco_stat::{EdgeModel, SamplingTap};
+use gcco_store::fnv1a_64;
 
 /// Deterministic 64-bit LCG (Knuth's MMIX constants).
 struct Lcg(u64);
@@ -219,6 +220,25 @@ impl Lcg {
         }
     }
 
+    /// One to four envelopes: the batch corpus of
+    /// `envelopes_batches_and_result_lines_round_trip`.
+    fn envelopes(&mut self) -> Vec<Envelope> {
+        (0..1 + self.below(4))
+            .map(|_| Envelope {
+                id: self.below(1 << 53),
+                // The version gate accepts only the current protocol, so
+                // the round-trip space is v:2 envelopes.
+                v: Some(PROTOCOL_VERSION),
+                deadline_ms: if self.below(2) == 0 {
+                    None
+                } else {
+                    Some(self.below(100_000))
+                },
+                request: self.request(),
+            })
+            .collect()
+    }
+
     fn response(&mut self) -> EvalResponse {
         match self.below(9) {
             0 => EvalResponse::Scalar { value: self.f64() },
@@ -385,20 +405,7 @@ fn responses_round_trip_bit_exactly() {
 fn envelopes_batches_and_result_lines_round_trip() {
     let mut rng = Lcg(0x5eed_0004);
     for case in 0..50 {
-        let envs: Vec<Envelope> = (0..1 + rng.below(4))
-            .map(|_| Envelope {
-                id: rng.below(1 << 53),
-                // The version gate accepts only the current protocol, so
-                // the round-trip space is v:2 envelopes.
-                v: Some(PROTOCOL_VERSION),
-                deadline_ms: if rng.below(2) == 0 {
-                    None
-                } else {
-                    Some(rng.below(100_000))
-                },
-                request: rng.request(),
-            })
-            .collect();
+        let envs = rng.envelopes();
 
         // Single envelope line.
         let one = parse_client_line(&encode_envelope(&envs[0])).expect("envelope parses");
@@ -424,6 +431,52 @@ fn envelopes_batches_and_result_lines_round_trip() {
         assert_eq!(kind, "queue_full");
         assert!(detail.contains('3'), "case {case}: {detail}");
     }
+}
+
+/// Known-answer FNV-1a-64 of the encoded text of every corpus above:
+/// 300 model specs, 300 requests, 300 responses, and 50 cases of
+/// envelope, batch and result lines.
+///
+/// The round-trip tests only check that encode and parse agree with each
+/// other; a change to both at once would still pass them. This pin is
+/// the reference for the wire bytes themselves: every store journal and
+/// router hop depends on them. If it fires, the wire format changed.
+#[test]
+fn encoded_corpora_hash_is_pinned() {
+    let mut text = String::new();
+    let mut rng = Lcg(0x5eed_0001);
+    for _ in 0..CASES {
+        text.push_str(&encode_model_spec(&rng.spec()));
+        text.push('\n');
+    }
+    let mut rng = Lcg(0x5eed_0002);
+    for _ in 0..CASES {
+        text.push_str(&encode_request(&rng.request()));
+        text.push('\n');
+    }
+    let mut rng = Lcg(0x5eed_0003);
+    for _ in 0..CASES {
+        text.push_str(&encode_response(&rng.response()));
+        text.push('\n');
+    }
+    let mut rng = Lcg(0x5eed_0004);
+    for _ in 0..50 {
+        let envs = rng.envelopes();
+        for line in [
+            encode_envelope(&envs[0]),
+            encode_batch(&envs),
+            encode_result_line(envs[0].id, &Ok(rng.response())),
+            encode_result_line(7, &Err(GccoError::QueueFull { capacity: 3 })),
+        ] {
+            text.push_str(&line);
+            text.push('\n');
+        }
+    }
+    assert_eq!(
+        fnv1a_64(text.as_bytes()),
+        0xd3e1_5949_d93f_9630,
+        "wire text drifted"
+    );
 }
 
 #[test]
@@ -452,5 +505,47 @@ fn hostile_lines_error_without_panicking() {
             parse_client_line(line).is_err(),
             "{line:?} must be rejected"
         );
+    }
+
+    // A u32 field one wrap past u32::MAX must not be read as its low 32
+    // bits: each base line parses, and the same line with the field
+    // raised by 2^32 is a parse error.
+    let envelope = |request| {
+        encode_envelope(&Envelope {
+            id: 1,
+            v: Some(PROTOCOL_VERSION),
+            deadline_ms: None,
+            request,
+        })
+    };
+    for (base, field, wrapped) in [
+        (
+            envelope(EvalRequest::ber_point(ModelSpec::paper_table1())),
+            "\"cid_max\":5",
+            "\"cid_max\":4294967301",
+        ),
+        (
+            envelope(EvalRequest::baseline(
+                CdrArchKind::BangBang,
+                BaselineSpec {
+                    bits: 1000,
+                    ..BaselineSpec::typical(CdrArchKind::BangBang)
+                },
+                BaselineMetric::Track,
+            )),
+            "\"bits\":1000",
+            "\"bits\":4294968296",
+        ),
+        (
+            envelope(EvalRequest::multi_channel(MultiChannelSpec::paper_quad())),
+            "\"channels\":4",
+            "\"channels\":4294967300",
+        ),
+    ] {
+        assert!(base.contains(field), "{base}");
+        assert!(parse_client_line(&base).is_ok(), "{base}");
+        let line = base.replacen(field, wrapped, 1);
+        let err = parse_client_line(&line).expect_err("out-of-range u32 must be rejected");
+        assert_eq!(err.kind(), "parse_error", "{line}: {err:?}");
     }
 }

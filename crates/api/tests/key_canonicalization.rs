@@ -12,12 +12,17 @@
 //!    a key (keys embed exact float bit patterns, so collisions are
 //!    structurally impossible, not merely improbable).
 //!
-//! A known-answer FNV-1a-64 hash of the paper-default key is pinned so
-//! any accidental change to the canonicalization fails loudly here
-//! instead of silently orphaning every existing journal.
+//! Known-answer FNV-1a-64 hashes of the paper-default spec key and of one
+//! request key per variant and payload are pinned so any accidental change
+//! to the canonicalization fails loudly here instead of silently orphaning
+//! every existing journal.
 
 use gcco_api::json::{encode_model_spec, encode_request, parse_model_spec, parse_request, Json};
-use gcco_api::{EvalRequest, ModelSpec, RunDistSpec};
+use gcco_api::{
+    BaselineMetric, BaselineSpec, CdrArchKind, DsimRunSpec, EvalRequest, ModelSpec,
+    MultiChannelSpec, OptimizeSpec, PowerScanSpec, RunDistSpec,
+};
+use gcco_stat::SamplingTap;
 use gcco_store::fnv1a_64;
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -214,4 +219,147 @@ fn paper_default_key_hash_is_pinned() {
         0x31b2_4875_49d1_75ab,
         "canonical key drifted: {key}"
     );
+}
+
+/// One request per variant plus single-payload perturbations of several,
+/// each with the pinned FNV-1a-64 of its `cache_key()`.
+fn pinned_requests() -> Vec<(EvalRequest, u64)> {
+    let spec = ModelSpec::paper_table1();
+    let bang_bang = BaselineSpec::typical(CdrArchKind::BangBang);
+    vec![
+        (EvalRequest::ber_point(spec.clone()), 0x3917_c750_9a7c_af27),
+        (
+            EvalRequest::ber_point_at(spec.clone(), 0.1, 0.1),
+            0xc1ab_5543_be4f_b912,
+        ),
+        (
+            EvalRequest::ber_grid(spec.clone(), vec![0.1], vec![0.1]),
+            0x637e_1916_c916_236a,
+        ),
+        (
+            EvalRequest::ber_grid(spec.clone(), vec![0.1, 0.2], vec![0.1]),
+            0xb6cd_de41_c783_83ef,
+        ),
+        (
+            EvalRequest::jtol_curve(spec.clone(), vec![0.1], 1e-12),
+            0xd59e_59d0_6b0c_aa16,
+        ),
+        (EvalRequest::ftol_search(spec, 1e-12), 0x26af_ed8c_5208_e679),
+        (
+            EvalRequest::power_scan(PowerScanSpec::paper_design()),
+            0x3ae7_0e47_8d0a_b2ef,
+        ),
+        (
+            EvalRequest::dsim_run(DsimRunSpec::paper_ring()),
+            0x8a2e_23c3_9d8e_d16a,
+        ),
+        (
+            EvalRequest::dsim_run(DsimRunSpec {
+                seed: 2,
+                ..DsimRunSpec::paper_ring()
+            }),
+            0x03e7_c7ba_338f_8655,
+        ),
+        (
+            EvalRequest::multi_channel(MultiChannelSpec::paper_quad()),
+            0x2e11_fd1f_e152_23ac,
+        ),
+        (
+            EvalRequest::multi_channel(MultiChannelSpec {
+                seed: 2,
+                ..MultiChannelSpec::paper_quad()
+            }),
+            0x846c_7138_964e_9ae3,
+        ),
+        (
+            EvalRequest::multi_channel(MultiChannelSpec {
+                channels: 8,
+                ..MultiChannelSpec::paper_quad()
+            }),
+            0x2e12_011f_e152_2a78,
+        ),
+        (
+            EvalRequest::optimize(OptimizeSpec::paper_flow()),
+            0xf2c8_5bce_2285_6df4,
+        ),
+        (
+            EvalRequest::optimize(OptimizeSpec {
+                seed: 2,
+                ..OptimizeSpec::paper_flow()
+            }),
+            0x1234_978c_226b_45c1,
+        ),
+        (
+            EvalRequest::optimize(OptimizeSpec {
+                taps: vec![SamplingTap::Improved],
+                ..OptimizeSpec::paper_flow()
+            }),
+            0xb5b3_9949_485f_159a,
+        ),
+        (
+            EvalRequest::optimize(OptimizeSpec {
+                cids: vec![4, 5, 6],
+                ..OptimizeSpec::paper_flow()
+            }),
+            0xb667_07aa_b375_7b5a,
+        ),
+        (
+            EvalRequest::baseline(CdrArchKind::BangBang, bang_bang, BaselineMetric::Track),
+            0x0868_8a8e_9aa8_f146,
+        ),
+        (
+            EvalRequest::baseline(CdrArchKind::BangBangFd, bang_bang, BaselineMetric::Track),
+            0x0e22_8ab1_f290_5a02,
+        ),
+        (
+            EvalRequest::baseline(
+                CdrArchKind::BangBang,
+                BaselineSpec {
+                    seed: 2,
+                    ..bang_bang
+                },
+                BaselineMetric::Track,
+            ),
+            0xf813_b95b_6a5f_8957,
+        ),
+        (
+            EvalRequest::baseline(
+                CdrArchKind::BangBang,
+                bang_bang,
+                BaselineMetric::CaptureRange { hi: 0.1 },
+            ),
+            0x9d23_7642_ef15_8cff,
+        ),
+        (
+            EvalRequest::baseline(
+                CdrArchKind::BangBang,
+                bang_bang,
+                BaselineMetric::JtolPoint { freq_norm: 0.01 },
+            ),
+            0x5701_3dbd_cd57_1482,
+        ),
+    ]
+}
+
+/// Every request key is distinct, prefixed by its kind, a pure content
+/// function, and pinned: the store journals responses under these keys,
+/// so a drift orphans every journal an earlier build wrote.
+#[test]
+fn request_keys_are_distinct_and_pinned() {
+    let pinned = pinned_requests();
+    let keys: Vec<String> = pinned.iter().map(|(r, _)| r.cache_key()).collect();
+    for (i, a) in keys.iter().enumerate() {
+        assert!(a.starts_with(pinned[i].0.kind()), "{a}");
+        for b in &keys[i + 1..] {
+            assert_ne!(a, b, "distinct requests must never share a key");
+        }
+    }
+    for ((req, pin), key) in pinned.iter().zip(&keys) {
+        assert_eq!(req.clone().cache_key(), *key);
+        assert_eq!(
+            fnv1a_64(key.as_bytes()),
+            *pin,
+            "canonical key drifted: {key}"
+        );
+    }
 }

@@ -34,22 +34,15 @@
 //!                  which are local-oracle concerns)
 //! ```
 
+use gcco_api::json::tap_name;
 use gcco_api::{
     run_optimize, Engine, EvalRequest, EvalResponse, GccoError, ModelSpec, OptimizeOut,
     OptimizeSpec, ProbeOracle,
 };
 use gcco_bench::{fmt_ber, header, metrics, result_line, Remote};
-use gcco_stat::SamplingTap;
 use gcco_store::Store;
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-fn tap_str(tap: SamplingTap) -> &'static str {
-    match tap {
-        SamplingTap::Standard => "standard",
-        SamplingTap::Improved => "improved",
-    }
-}
 
 fn opt_f64(v: Option<f64>) -> String {
     match v {
@@ -242,7 +235,7 @@ fn render_report(opt: &OptimizeSpec, out: &OptimizeOut, quick: bool) -> String {
         let _ = writeln!(
             report,
             "combo tap={} cid={} ckj_rms={} mw_per_gbps={} worst_ber={} probes={}",
-            tap_str(combo.tap),
+            tap_name(combo.tap),
             combo.cid_max,
             opt_f64(combo.ckj_rms),
             opt_f64(combo.mw_per_gbps),
@@ -256,7 +249,7 @@ fn render_report(opt: &OptimizeSpec, out: &OptimizeOut, quick: bool) -> String {
                 report,
                 "best tap={} cid={} ckj_rms={:?} mw_per_gbps={:?} worst_ber={:?} \
                  margin={:?} settling_ui={:?}",
-                tap_str(best.spec.tap),
+                tap_name(best.spec.tap),
                 best.spec.cid_max,
                 best.spec.ckj_rms,
                 best.mw_per_gbps,
@@ -384,7 +377,7 @@ fn main() {
     match &out.best {
         Some(best) => println!(
             "\nOK: recovered tap={} cid={} at {:.3} mW/Gbit/s (budget {}) in {} probes.",
-            tap_str(best.spec.tap),
+            tap_name(best.spec.tap),
             best.spec.cid_max,
             best.mw_per_gbps,
             opt.budget_mw_per_gbps,

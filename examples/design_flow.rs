@@ -10,18 +10,11 @@
 //!
 //! Run with: `cargo run --release --example design_flow`
 
+use gcco::api::json::tap_name;
 use gcco::api::{Engine, EvalRequest, EvalResponse, ModelSpec, OptimizeSpec};
 use gcco::cdr::{run_design_flow, FlowSpec};
 use gcco::noise::{power_noise_tradeoff, PhaseNoiseModel};
-use gcco::stat::SamplingTap;
 use gcco::units::{Current, Freq, Voltage};
-
-fn tap_name(tap: SamplingTap) -> &'static str {
-    match tap {
-        SamplingTap::Standard => "standard",
-        SamplingTap::Improved => "improved",
-    }
-}
 
 fn main() {
     let spec = FlowSpec::paper();
