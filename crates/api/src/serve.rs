@@ -47,12 +47,19 @@
 //!
 //! ## Transport
 //!
-//! Shared with `gcco-router`: every socket runs with `TCP_NODELAY` and
-//! sends each line (plus any replies already queued behind it) in one
-//! write, so no reply waits on the peer's delayed ACK. Accept loops block
-//! in `accept()` and are woken at shutdown by one loopback connect
-//! ([`wake_listener`]). Clients talk through [`LineConnection`], which
-//! [`ConnectionPool`] keeps open across exchanges.
+//! Written once for `gcco-serve` and `gcco-router`. [`start`] runs the
+//! accept loop and one reader plus one writer thread per connection, and
+//! answers the commands, unknown commands and malformed lines itself; a
+//! [`Frontend`] supplies only what differs: what a request line's
+//! envelopes do, the `stats` fields, the registry `metrics` renders, and
+//! the shutdown flag. [`Handle`] is the running server for either.
+//!
+//! Every socket runs with `TCP_NODELAY` and sends each line (plus any
+//! replies already queued behind it) in one write, so no reply waits on
+//! the peer's delayed ACK. The accept loop blocks in `accept()` and is
+//! woken at the first shutdown by one loopback connect. Clients talk
+//! through [`LineConnection`], which [`ConnectionPool`] keeps open across
+//! exchanges.
 
 use crate::engine::{DeadlineGuard, Engine};
 use crate::error::GccoError;
@@ -110,25 +117,19 @@ struct Job {
 /// registry, so one `metrics` read covers the whole service).
 struct ServeObs {
     registry: Registry,
-    connections_total: Arc<Counter>,
-    active_connections: Arc<Gauge>,
     requests_total: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     queue_wait: Arc<Histogram>,
     queue_full_total: Arc<Counter>,
-    connection_requests: Arc<Histogram>,
 }
 
 impl ServeObs {
     fn new(registry: Registry) -> ServeObs {
         ServeObs {
-            connections_total: registry.counter("gcco_serve_connections_total"),
-            active_connections: registry.gauge("gcco_serve_active_connections"),
             requests_total: registry.counter("gcco_serve_requests_total"),
             queue_depth: registry.gauge("gcco_serve_queue_depth"),
             queue_wait: registry.histogram("gcco_serve_queue_wait_seconds"),
             queue_full_total: registry.counter("gcco_serve_queue_full_total"),
-            connection_requests: registry.histogram("gcco_serve_connection_request_count"),
             registry,
         }
     }
@@ -146,11 +147,10 @@ impl ServeObs {
     }
 }
 
-struct Shared {
+/// `gcco-serve`'s [`Frontend`]: a bounded queue in front of the engine,
+/// drained by the serve workers.
+pub struct ServeFrontend {
     engine: Engine,
-    /// The listener's bound address, which shutdown connects to once to
-    /// wake the blocking accept loop.
-    local_addr: SocketAddr,
     queue: Mutex<VecDeque<Job>>,
     work_ready: Condvar,
     shutdown: AtomicBool,
@@ -161,7 +161,7 @@ struct Shared {
     obs: ServeObs,
 }
 
-impl Shared {
+impl ServeFrontend {
     /// Answers one envelope immediately (rejections and failures that
     /// never reach a worker), counting the outcome.
     fn answer(
@@ -183,8 +183,8 @@ impl Shared {
     /// lose the CPU, and enqueue after the last worker saw an empty queue
     /// and exited, leaving the job accepted but never answered. With the
     /// check under the lock (and the flag only ever *set* under the same
-    /// lock, see [`Shared::request_shutdown`]) every job enqueued while
-    /// the flag read false is guaranteed to be drained.
+    /// lock, see [`ServeFrontend::request_shutdown`]) every job enqueued
+    /// while the flag read false is guaranteed to be drained.
     fn submit(&self, env: Envelope, reply: &mpsc::Sender<String>) {
         self.obs.requests_total.inc();
         let mut queue = self.queue.lock().expect("queue lock poisoned");
@@ -217,24 +217,6 @@ impl Shared {
         self.work_ready.notify_one();
     }
 
-    /// Flips the shutdown flag under the queue lock and wakes everyone.
-    ///
-    /// Setting the flag under the same lock [`Shared::submit`] checks it
-    /// under makes the drain proof two-state: a submit either ran before
-    /// this (its job is in the queue, and workers only exit on
-    /// empty-queue-with-flag-set, so it drains) or after (it observes the
-    /// flag and answers `shutting_down`). There is no third interleaving.
-    /// The first call also wakes the accept loop.
-    fn request_shutdown(&self) {
-        let queue = self.queue.lock().expect("queue lock poisoned");
-        let already = self.shutdown.swap(true, Ordering::SeqCst);
-        drop(queue);
-        self.work_ready.notify_all();
-        if !already {
-            wake_listener(self.local_addr);
-        }
-    }
-
     /// Worker body: evaluate jobs until shutdown *and* the queue is dry —
     /// the drain guarantee.
     fn work(&self) {
@@ -265,20 +247,28 @@ impl Shared {
             let _ = job.reply.send(encode_result_line(job.id, &result));
         }
     }
+}
 
-    /// The enriched `{"cmd":"stats"}` reply: queue, cache, outcome, and
-    /// connection series as one JSON object.
-    fn stats_line(&self) -> String {
+impl Frontend for ServeFrontend {
+    const NAME: &'static str = "gcco-serve";
+
+    fn on_requests(self: &Arc<Self>, envelopes: Vec<Envelope>, reply: &mpsc::Sender<String>) {
+        for env in envelopes {
+            self.submit(env, reply);
+        }
+    }
+
+    /// Queue, cache and outcome series.
+    fn stats_fields(&self) -> String {
         let queue_len = self.queue.lock().expect("queue lock poisoned").len();
         let reg = &self.obs.registry;
         let counter = |name: &str| reg.counter(name).get();
         format!(
-            "{{\"stats\":{{\"queue_len\":{},\"queue_capacity\":{},\
+            "\"queue_len\":{},\"queue_capacity\":{},\
              \"serve_workers\":{},\"engine_workers\":{},\
              \"context_builds\":{},\"cache_hits\":{},\"cache_misses\":{},\
              \"cache_evictions\":{},\"deadline_trips\":{},\"requests_total\":{},\
-             \"responses_total\":{},\"responses_ok\":{},\"queue_full_total\":{},\
-             \"connections_total\":{},\"active_connections\":{}}}}}",
+             \"responses_total\":{},\"responses_ok\":{},\"queue_full_total\":{}",
             queue_len,
             self.queue_capacity,
             self.serve_workers,
@@ -293,79 +283,44 @@ impl Shared {
             reg.counter_with("gcco_serve_responses_total", "outcome", "ok")
                 .get(),
             self.obs.queue_full_total.get(),
-            self.obs.connections_total.get(),
-            self.obs.active_connections.get(),
         )
     }
 
-    /// The `{"cmd":"metrics"}` reply: the Prometheus-style exposition of
-    /// the whole registry, wrapped as a one-line JSON string.
-    fn metrics_line(&self) -> String {
-        format!(
-            "{{\"metrics\":{}}}",
-            json_string(&self.obs.registry.render_prometheus())
-        )
+    /// The engine's registry, so one `metrics` read covers the whole
+    /// service.
+    fn registry(&self) -> &Registry {
+        &self.obs.registry
+    }
+
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    /// Flips the shutdown flag under the queue lock and wakes the workers.
+    ///
+    /// Setting the flag under the same lock `ServeFrontend::submit`
+    /// checks it under makes the drain proof two-state: a submit either
+    /// ran before this (its job is in the queue, and workers only exit on
+    /// empty-queue-with-flag-set, so it drains) or after (it observes the
+    /// flag and answers `shutting_down`). There is no third interleaving.
+    fn request_shutdown(&self) -> bool {
+        let queue = self.queue.lock().expect("queue lock poisoned");
+        let already = self.shutdown.swap(true, Ordering::SeqCst);
+        drop(queue);
+        self.work_ready.notify_all();
+        already
     }
 }
 
-/// A running server. [`ServerHandle::shutdown`] is the explicit drain
+/// A running `gcco-serve`. [`Handle::shutdown`] is the explicit drain
 /// path; merely dropping the handle also requests shutdown and joins
 /// every thread (no leaks), draining queued work on the way out.
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-}
+pub type ServerHandle = Handle<ServeFrontend>;
 
 impl ServerHandle {
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
-    }
-
     /// The engine behind the service (e.g. for build-counter assertions).
     pub fn engine(&self) -> &Engine {
-        &self.shared.engine
-    }
-
-    /// The metrics registry behind the service.
-    pub fn obs(&self) -> &Registry {
-        self.shared.engine.obs()
-    }
-
-    /// True once shutdown has been requested (locally or over the wire).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shared.request_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-
-    /// Requests shutdown, drains all queued work, and joins every thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    /// Blocks until a wire `shutdown` command flips the flag, then drains
-    /// and joins exactly like [`ServerHandle::shutdown`].
-    pub fn run_until_shutdown(self) {
-        while !self.is_shutting_down() {
-            std::thread::sleep(POLL);
-        }
-        self.shutdown();
-    }
-}
-
-impl Drop for ServerHandle {
-    /// Dropping the handle must not leak the accept/worker threads: set
-    /// the shutdown flag and join, same as [`ServerHandle::shutdown`]
-    /// (after an explicit `shutdown` this is a no-op — the thread list is
-    /// already empty).
-    fn drop(&mut self) {
-        self.stop_and_join();
+        &self.server.frontend.engine
     }
 }
 
@@ -376,168 +331,294 @@ impl Drop for ServerHandle {
 /// [`GccoError::Io`] when the address cannot be bound.
 pub fn serve(config: &ServeConfig, engine: Engine) -> Result<ServerHandle, GccoError> {
     let listener = TcpListener::bind(&config.addr)?;
-    let obs = ServeObs::new(engine.obs().clone());
-    let shared = Arc::new(Shared {
+    let frontend = Arc::new(ServeFrontend {
+        obs: ServeObs::new(engine.obs().clone()),
         engine,
-        local_addr: listener.local_addr()?,
         queue: Mutex::new(VecDeque::new()),
         work_ready: Condvar::new(),
         shutdown: AtomicBool::new(false),
         queue_capacity: config.queue_capacity.max(1),
         serve_workers: config.workers.max(1),
-        obs,
     });
-    let mut threads = Vec::new();
-    for i in 0..config.workers.max(1) {
-        let shared = Arc::clone(&shared);
-        threads.push(
+    let mut workers = Vec::new();
+    for i in 0..frontend.serve_workers {
+        let frontend = Arc::clone(&frontend);
+        workers.push(
             std::thread::Builder::new()
                 .name(format!("gcco-serve-worker-{i}"))
-                .spawn(move || shared.work())
-                .map_err(|e| GccoError::Io(e.to_string()))?,
+                .spawn(move || frontend.work())?,
         );
     }
-    let accept_shared = Arc::clone(&shared);
-    let conn_shared = Arc::clone(&shared);
-    threads.push(
-        std::thread::Builder::new()
-            .name("gcco-serve-accept".to_string())
-            .spawn(move || {
-                accept_connections(
-                    listener,
-                    &accept_shared.shutdown,
-                    "gcco-serve-conn",
-                    move |stream| handle_connection(stream, &conn_shared),
-                );
-            })
-            .map_err(|e| GccoError::Io(e.to_string()))?,
-    );
-    Ok(ServerHandle { shared, threads })
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    shared.obs.connections_total.inc();
-    shared.obs.active_connections.inc();
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    // The writer exits when every sender (reader + queued jobs) is gone,
-    // i.e. after all of this connection's work has been answered.
-    let writer = std::thread::Builder::new()
-        .name("gcco-serve-write".to_string())
-        .spawn(move || write_replies(write_half, &reply_rx));
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut reader = BufReader::new(stream);
-    let mut acc: Vec<u8> = Vec::new();
-    let mut submitted: u64 = 0;
-    loop {
-        match reader.read_until(b'\n', &mut acc) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let at_eof = acc.last() != Some(&b'\n');
-                let line = String::from_utf8_lossy(&acc).trim().to_string();
-                acc.clear();
-                if !line.is_empty() {
-                    submitted += handle_line(&line, shared, &reply_tx);
-                }
-                if at_eof || shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Partial data (if any) stays in `acc`; just re-check the
-                // shutdown flag and keep reading.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    shared.obs.connection_requests.observe(submitted as f64);
-    shared.obs.active_connections.dec();
-    drop(reply_tx);
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
-}
-
-/// Handles one client line and returns how many envelopes it submitted
-/// (0 for commands and rejected lines).
-fn handle_line(line: &str, shared: &Arc<Shared>, reply: &mpsc::Sender<String>) -> u64 {
-    match parse_client_line(line) {
-        Ok(ClientLine::Requests(envelopes)) => {
-            let n = envelopes.len() as u64;
-            for env in envelopes {
-                shared.submit(env, reply);
-            }
-            n
-        }
-        Ok(ClientLine::Command(cmd)) => {
-            match cmd.as_str() {
-                "ping" => {
-                    let _ = reply.send("{\"pong\":true}".to_string());
-                }
-                "stats" => {
-                    let _ = reply.send(shared.stats_line());
-                }
-                "metrics" => {
-                    let _ = reply.send(shared.metrics_line());
-                }
-                "shutdown" => {
-                    // Flag first, ack second: a client that receives the
-                    // acknowledgement must observe `is_shutting_down()`
-                    // (the ack is its linearization point).
-                    shared.request_shutdown();
-                    let _ = reply.send("{\"ok\":\"shutting_down\"}".to_string());
-                }
-                other => {
-                    // Unknown commands carry no envelope id to answer on;
-                    // reply with the id-less error shape.
-                    let _ = reply.send(encode_error_line(&GccoError::Parse(format!(
-                        "unknown command \"{other}\""
-                    ))));
-                }
-            }
-            0
-        }
-        Err(e) => {
-            // No id is recoverable from a malformed (or duplicate-id)
-            // line; answer with an id-less error object so the reply can
-            // never be confused with a response to a real envelope.
-            let _ = reply.send(encode_error_line(&e));
-            0
-        }
-    }
+    start(listener, frontend, workers)
 }
 
 // ---------------------------------------------------------------------
 // Transport (shared with gcco-router)
 // ---------------------------------------------------------------------
 
-/// Accepts connections until `shutdown` is set, serving each on its own
-/// thread named `name` with `TCP_NODELAY` on, then joins every connection
-/// thread. The loop blocks in `accept()`, so a connect is served the
-/// moment it lands; whoever sets `shutdown` must then call
-/// [`wake_listener`] for the loop to see the flag.
-pub fn accept_connections<F>(listener: TcpListener, shutdown: &AtomicBool, name: &str, handle: F)
-where
-    F: Fn(TcpStream) + Clone + Send + 'static,
-{
+/// What one line-protocol server does beyond the shared transport.
+///
+/// The transport reads each connection's lines, answers `ping`, `stats`,
+/// `metrics` and `shutdown`, unknown commands and malformed lines itself,
+/// and hands the envelopes of every request line to
+/// [`Frontend::on_requests`].
+pub trait Frontend: Send + Sync + 'static {
+    /// The server's name (`gcco-serve`): it prefixes the transport's
+    /// thread names and, with `_` for `-`, its connection series
+    /// (`gcco_serve_connections_total`, `_active_connections`,
+    /// `_connection_request_count`).
+    const NAME: &'static str;
+
+    /// Takes the envelopes of one request line. Each must be answered
+    /// exactly once on `reply`, now or later from a thread holding a clone
+    /// of it: the connection stays open until every clone is dropped.
+    fn on_requests(self: &Arc<Self>, envelopes: Vec<Envelope>, reply: &mpsc::Sender<String>);
+
+    /// The `{"cmd":"stats"}` fields ahead of the transport's
+    /// `connections_total` and `active_connections`, as `"name":value`
+    /// pairs.
+    fn stats_fields(&self) -> String;
+
+    /// The registry `{"cmd":"metrics"}` renders, which also holds the
+    /// transport's connection series.
+    fn registry(&self) -> &Registry;
+
+    /// The flag that stops intake once set.
+    fn shutdown_flag(&self) -> &AtomicBool;
+
+    /// Sets the shutdown flag and returns whether it was already set.
+    fn request_shutdown(&self) -> bool {
+        self.shutdown_flag().swap(true, Ordering::SeqCst)
+    }
+}
+
+/// One server's transport state, shared by its accept loop, its
+/// connections and its [`Handle`].
+struct Server<F> {
+    frontend: Arc<F>,
+    /// The listener's bound address, which the first shutdown connects to
+    /// once to wake the blocking accept loop.
+    local_addr: SocketAddr,
+    connections_total: Arc<Counter>,
+    active_connections: Arc<Gauge>,
+    connection_requests: Arc<Histogram>,
+}
+
+impl<F: Frontend> Server<F> {
+    fn is_shutting_down(&self) -> bool {
+        self.frontend.shutdown_flag().load(Ordering::SeqCst)
+    }
+
+    /// Sets the frontend's shutdown flag and, on the first call, wakes the
+    /// accept loop.
+    fn request_shutdown(&self) {
+        if !self.frontend.request_shutdown() {
+            wake_listener(self.local_addr);
+        }
+    }
+
+    fn handle_connection(&self, stream: TcpStream) {
+        let Ok(write_half) = stream.try_clone() else {
+            return;
+        };
+        self.connections_total.inc();
+        self.active_connections.inc();
+        let (reply_tx, reply_rx) = mpsc::channel::<String>();
+        // The writer exits when every sender (the reader's and those the
+        // frontend holds for work in flight) is gone, i.e. after all of
+        // this connection's work has been answered.
+        let writer = std::thread::Builder::new()
+            .name(format!("{}-write", F::NAME))
+            .spawn(move || write_replies(write_half, &reply_rx));
+        let _ = stream.set_read_timeout(Some(POLL));
+        let mut reader = BufReader::new(stream);
+        let mut acc: Vec<u8> = Vec::new();
+        let mut submitted: u64 = 0;
+        loop {
+            match reader.read_until(b'\n', &mut acc) {
+                Ok(0) => break, // EOF
+                Ok(_) => {
+                    let at_eof = acc.last() != Some(&b'\n');
+                    let line = String::from_utf8_lossy(&acc).trim().to_string();
+                    acc.clear();
+                    if !line.is_empty() {
+                        submitted += self.handle_line(&line, &reply_tx);
+                    }
+                    if at_eof || self.is_shutting_down() {
+                        break;
+                    }
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    // Partial data (if any) stays in `acc`; just re-check
+                    // the shutdown flag and keep reading.
+                    if self.is_shutting_down() {
+                        break;
+                    }
+                }
+                Err(_) => break,
+            }
+        }
+        self.connection_requests.observe(submitted as f64);
+        self.active_connections.dec();
+        drop(reply_tx);
+        if let Ok(writer) = writer {
+            let _ = writer.join();
+        }
+    }
+
+    /// Handles one client line and returns how many envelopes it submitted
+    /// (0 for commands and rejected lines).
+    fn handle_line(&self, line: &str, reply: &mpsc::Sender<String>) -> u64 {
+        let answer = match parse_client_line(line) {
+            Ok(ClientLine::Requests(envelopes)) => {
+                let n = envelopes.len() as u64;
+                self.frontend.on_requests(envelopes, reply);
+                return n;
+            }
+            Ok(ClientLine::Command(cmd)) => match cmd.as_str() {
+                "ping" => "{\"pong\":true}".to_string(),
+                "stats" => format!(
+                    "{{\"stats\":{{{},\"connections_total\":{},\"active_connections\":{}}}}}",
+                    self.frontend.stats_fields(),
+                    self.connections_total.get(),
+                    self.active_connections.get(),
+                ),
+                "metrics" => format!(
+                    "{{\"metrics\":{}}}",
+                    json_string(&self.frontend.registry().render_prometheus())
+                ),
+                "shutdown" => {
+                    // Flag first, ack second: a client that receives the
+                    // acknowledgement must observe `is_shutting_down()`
+                    // (the ack is its linearization point).
+                    self.request_shutdown();
+                    "{\"ok\":\"shutting_down\"}".to_string()
+                }
+                // Unknown commands carry no envelope id to answer on;
+                // reply with the id-less error shape.
+                other => {
+                    encode_error_line(&GccoError::Parse(format!("unknown command \"{other}\"")))
+                }
+            },
+            // No id is recoverable from a malformed (or duplicate-id)
+            // line; answer with an id-less error object so the reply can
+            // never be confused with a response to a real envelope.
+            Err(e) => encode_error_line(&e),
+        };
+        let _ = reply.send(answer);
+        0
+    }
+}
+
+/// A running line-protocol server. [`Handle::shutdown`] stops intake,
+/// lets the frontend drain the work it accepted, and joins every thread;
+/// merely dropping the handle does the same, so a forgotten handle never
+/// leaks a thread.
+pub struct Handle<F: Frontend> {
+    server: Arc<Server<F>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl<F: Frontend> Handle<F> {
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.server.local_addr
+    }
+
+    /// The frontend's metrics registry.
+    pub fn obs(&self) -> &Registry {
+        self.server.frontend.registry()
+    }
+
+    /// True once shutdown has been requested (locally or over the wire).
+    pub fn is_shutting_down(&self) -> bool {
+        self.server.is_shutting_down()
+    }
+
+    fn stop_and_join(&mut self) {
+        self.server.request_shutdown();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+
+    /// Requests shutdown, drains the accepted work, and joins every
+    /// thread.
+    pub fn shutdown(mut self) {
+        self.stop_and_join();
+    }
+
+    /// Blocks until a wire `shutdown` command flips the flag, then drains
+    /// and joins exactly like [`Handle::shutdown`].
+    pub fn run_until_shutdown(self) {
+        while !self.is_shutting_down() {
+            std::thread::sleep(POLL);
+        }
+        self.shutdown();
+    }
+}
+
+impl<F: Frontend> Drop for Handle<F> {
+    /// After an explicit `shutdown` this is a no-op: the thread list is
+    /// already empty.
+    fn drop(&mut self) {
+        self.stop_and_join();
+    }
+}
+
+/// Serves `frontend` on `listener`: spawns the accept loop and returns
+/// the handle that stops it and joins it together with the frontend's
+/// own `threads`.
+///
+/// # Errors
+///
+/// [`GccoError::Io`] when the listener has no local address or the
+/// accept thread cannot be spawned.
+pub fn start<F: Frontend>(
+    listener: TcpListener,
+    frontend: Arc<F>,
+    threads: Vec<JoinHandle<()>>,
+) -> Result<Handle<F>, GccoError> {
+    let prefix = F::NAME.replace('-', "_");
+    let registry = frontend.registry();
+    let server = Arc::new(Server {
+        local_addr: listener.local_addr()?,
+        connections_total: registry.counter(&format!("{prefix}_connections_total")),
+        active_connections: registry.gauge(&format!("{prefix}_active_connections")),
+        connection_requests: registry.histogram(&format!("{prefix}_connection_request_count")),
+        frontend,
+    });
+    // Built before the accept thread, so a failed spawn still stops and
+    // joins the frontend's threads.
+    let mut handle = Handle {
+        server: Arc::clone(&server),
+        threads,
+    };
+    let accept = std::thread::Builder::new()
+        .name(format!("{}-accept", F::NAME))
+        .spawn(move || accept_connections(listener, &server))?;
+    handle.threads.push(accept);
+    Ok(handle)
+}
+
+/// Accepts connections until shutdown, serving each on its own thread
+/// with `TCP_NODELAY` on, then joins every connection thread. The loop
+/// blocks in `accept()`, so a connect is served the moment it lands;
+/// [`Server::request_shutdown`] wakes it to see the flag.
+fn accept_connections<F: Frontend>(listener: TcpListener, server: &Arc<Server<F>>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let accepted = listener.accept();
-        if shutdown.load(Ordering::SeqCst) {
+        if server.is_shutting_down() {
             break;
         }
         match accepted {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                let handle = handle.clone();
+                let server = Arc::clone(server);
                 if let Ok(thread) = std::thread::Builder::new()
-                    .name(name.to_string())
-                    .spawn(move || handle(stream))
+                    .name(format!("{}-conn", F::NAME))
+                    .spawn(move || server.handle_connection(stream))
                 {
                     connections.push(thread);
                 }
@@ -557,7 +638,7 @@ where
 /// Wakes the [`accept_connections`] loop listening on `local` after its
 /// shutdown flag was set: one throwaway connect, over loopback when the
 /// listener is bound to an unspecified address.
-pub fn wake_listener(local: SocketAddr) {
+fn wake_listener(local: SocketAddr) {
     let mut addr = local;
     if addr.ip().is_unspecified() {
         addr.set_ip(match addr {
@@ -571,7 +652,7 @@ pub fn wake_listener(local: SocketAddr) {
 /// A connection's writer loop: sends every reply queued on `replies` as
 /// `line + "\n"`, folding replies already waiting into the same write.
 /// Returns once every sender is gone or the peer stops reading.
-pub fn write_replies(mut out: TcpStream, replies: &mpsc::Receiver<String>) {
+fn write_replies(mut out: TcpStream, replies: &mpsc::Receiver<String>) {
     let mut buf = Vec::new();
     while let Ok(first) = replies.recv() {
         buf.clear();
@@ -746,7 +827,9 @@ impl ConnectionPool {
     }
 
     /// [`submit_batch_with_retry`] over this pool's connections, with the
-    /// same retry, audit and ordering semantics.
+    /// same retry, audit and ordering semantics: envelopes still rejected
+    /// `queue_full` when the budget runs out come back with that answer,
+    /// and only a budget spent on transport failures is an error.
     ///
     /// # Errors
     ///
@@ -789,7 +872,11 @@ impl ConnectionPool {
                     self.put(conn);
                     let mut rejected: Vec<u64> = Vec::new();
                     for line in results {
-                        if matches!(&line.result, Err((kind, _)) if kind == "queue_full") {
+                        // The last attempt's `queue_full` is the answer: the
+                        // server is busy, not unreachable.
+                        if attempt < attempts
+                            && matches!(&line.result, Err((kind, _)) if kind == "queue_full")
+                        {
                             rejected.push(line.id);
                         } else {
                             done.insert(line.id, line);
@@ -922,7 +1009,8 @@ fn duration_to_micros(d: Duration) -> u64 {
 /// `queue_full` rejections, which re-send only the rejected envelopes.
 /// Everything else — `shutting_down`, `invalid_spec`, `duplicate_id`,
 /// `deadline_exceeded`, evaluation errors — is a real answer and is
-/// returned, never retried.
+/// returned, never retried. So is a `queue_full` from the last attempt:
+/// a server that answered every attempt is busy, not unreachable.
 ///
 /// Re-sending is safe precisely because the server replays: responses are
 /// deterministic functions of the request (bit-identical through the
@@ -935,8 +1023,9 @@ fn duration_to_micros(d: Duration) -> u64 {
 /// # Errors
 ///
 /// [`GccoError::DuplicateId`] before anything is sent when the batch
-/// reuses an id; [`GccoError::Io`] when the attempt budget is exhausted
-/// with envelopes still unanswered (carrying the last failure's detail).
+/// reuses an id; [`GccoError::Io`] when the last attempt failed in
+/// transport or in the id audit and left envelopes unanswered (carrying
+/// its detail).
 pub fn submit_batch_with_retry(
     addr: &SocketAddr,
     envelopes: &[Envelope],
@@ -1001,17 +1090,14 @@ mod tests {
     use crate::request::DsimRunSpec;
     use std::sync::Barrier;
 
-    fn shared_with_workers(workers: usize) -> (Arc<Shared>, Vec<JoinHandle<()>>) {
+    fn shared_with_workers(workers: usize) -> (Arc<ServeFrontend>, Vec<JoinHandle<()>>) {
         let engine = Engine::with_config(EngineConfig {
             cache_capacity: 4,
             workers: Some(1),
         });
         let obs = ServeObs::new(engine.obs().clone());
-        let shared = Arc::new(Shared {
+        let shared = Arc::new(ServeFrontend {
             engine,
-            // No accept loop runs here: the shutdown wake-up connect finds
-            // nothing listening on port 0 and is ignored.
-            local_addr: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),

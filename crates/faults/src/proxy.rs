@@ -261,7 +261,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 let shared = Arc::clone(shared);
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("gcco-chaos-conn".to_string())
-                    .spawn(move || handle_connection(client, fault, &shared))
+                    .spawn(move || relay_connection(client, fault, &shared))
                 {
                     handlers.push(handle);
                 }
@@ -276,7 +276,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn handle_connection(client: TcpStream, fault: ConnFault, shared: &Arc<Shared>) {
+fn relay_connection(client: TcpStream, fault: ConnFault, shared: &Arc<Shared>) {
     match fault {
         ConnFault::Reset => {
             // Dropping without reading closes the socket while the

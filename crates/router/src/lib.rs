@@ -10,7 +10,9 @@
 //!   with virtual nodes for spread), so identical requests always land on
 //!   the same backend and its warm-context cache / store journal absorbs
 //!   them. An incoming batch is split into one sub-batch per backend and
-//!   the sub-batches are dispatched concurrently.
+//!   each sub-batch is dispatched on its own thread. At most
+//!   [`MAX_IN_FLIGHT`] sub-batches dispatch at once, router-wide; one over
+//!   the bound is answered `queue_full`, as a full `gcco-serve` queue is.
 //! * **Health checking** — a prober pings every backend on an interval;
 //!   a failing backend is *ejected* (routes fall through to the next live
 //!   backend on the ring) and *rejoins* automatically once it answers
@@ -20,7 +22,9 @@
 //!   budget) is re-sent to the next live backend in ring order.
 //!   Re-sending is safe because backends replay: responses are
 //!   deterministic, bit-identical functions of the request through the
-//!   cache and store tiers.
+//!   cache and store tiers. A backend still answering `queue_full` when
+//!   the budget runs out is busy, not dead: those lines are forwarded and
+//!   the backend stays in the ring.
 //! * **Pooled backend connections** — sub-batches travel over persistent
 //!   connections, up to [`BACKEND_POOL_CAP`] idle ones per backend
 //!   ([`ConnectionPool`]). A transport error or an ejection drops every
@@ -38,36 +42,38 @@
 //! the answer is bit-identical either way — replication would buy
 //! latency, never correctness.
 //!
-//! Observability mirrors `gcco-serve`: `{"cmd":"stats"}` returns a
-//! one-line summary, `{"cmd":"metrics"}` the Prometheus-style exposition
-//! of the router's own registry (`gcco_router_*` series, per-backend
-//! request/latency/failover counters included).
+//! The server side of the protocol — connections, commands, `metrics`,
+//! shutdown and the handle — is `gcco-serve`'s own transport
+//! ([`gcco_api::serve::start`]); the router plugs into it as a
+//! [`Frontend`]. So observability mirrors `gcco-serve`: `{"cmd":"stats"}`
+//! returns a one-line summary, `{"cmd":"metrics"}` the Prometheus-style
+//! exposition of the router's own registry (`gcco_router_*` series,
+//! per-backend request/latency/failover counters included).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gcco_api::json::{
-    encode_error_line, encode_parsed_result_line, encode_result_line, json_string,
-    parse_client_line, ClientLine, Envelope,
-};
-use gcco_api::serve::{
-    accept_connections, client_roundtrip, wake_listener, write_replies, ConnectionPool, RetryPolicy,
-};
+use gcco_api::json::{encode_parsed_result_line, encode_result_line, Envelope};
+use gcco_api::serve::{client_roundtrip, start, ConnectionPool, Frontend, Handle, RetryPolicy};
 use gcco_api::GccoError;
 use gcco_obs::{Counter, Gauge, Registry};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocking reads and sleeps re-check the shutdown flag.
+/// How often the prober's sleep re-checks the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Most idle connections the router keeps open to one backend.
 pub const BACKEND_POOL_CAP: usize = 8;
+
+/// Most sub-batches the router dispatches at once, over all connections
+/// (one thread each): `gcco-serve`'s default queue capacity. A sub-batch
+/// over the bound is answered `queue_full`, as a full serve queue would.
+pub const MAX_IN_FLIGHT: usize = 64;
 
 /// Router tuning knobs.
 #[derive(Clone, Debug)]
@@ -173,9 +179,9 @@ impl HashRing {
 }
 
 /// One backend's routing state. `alive` is the prober's latest verdict;
-/// the dispatch path also flips it off the moment a sub-batch exhausts
-/// its retry budget there, so routing reacts faster than the probe
-/// period.
+/// the dispatch path also flips it off the moment a sub-batch spends its
+/// retry budget there on transport failures, so routing reacts faster
+/// than the probe period.
 struct Backend {
     pool: ConnectionPool,
     alive: AtomicBool,
@@ -184,8 +190,6 @@ struct Backend {
 /// Pre-resolved router metric handles.
 struct RouterObs {
     registry: Registry,
-    connections_total: Arc<Counter>,
-    active_connections: Arc<Gauge>,
     requests_total: Arc<Counter>,
     failovers_total: Arc<Counter>,
     no_backend_total: Arc<Counter>,
@@ -198,8 +202,6 @@ struct RouterObs {
 impl RouterObs {
     fn new(registry: Registry) -> RouterObs {
         RouterObs {
-            connections_total: registry.counter("gcco_router_connections_total"),
-            active_connections: registry.gauge("gcco_router_active_connections"),
             requests_total: registry.counter("gcco_router_requests_total"),
             failovers_total: registry.counter("gcco_router_failovers_total"),
             no_backend_total: registry.counter("gcco_router_no_backend_total"),
@@ -212,10 +214,9 @@ impl RouterObs {
     }
 }
 
-struct RouterShared {
-    /// The listener's bound address, which shutdown connects to once to
-    /// wake the blocking accept loop.
-    local_addr: SocketAddr,
+/// `gcco-router`'s [`Frontend`]: splits each request line along the hash
+/// ring and dispatches one sub-batch per backend.
+pub struct Router {
     backends: Vec<Backend>,
     ring: HashRing,
     attempt_timeout: Duration,
@@ -223,10 +224,12 @@ struct RouterShared {
     probe_interval: Duration,
     probe_timeout: Duration,
     shutdown: AtomicBool,
+    /// Sub-batches dispatching now, bounded by [`MAX_IN_FLIGHT`].
+    in_flight: AtomicUsize,
     obs: RouterObs,
 }
 
-impl RouterShared {
+impl Router {
     fn alive_count(&self) -> usize {
         self.backends
             .iter()
@@ -242,15 +245,6 @@ impl RouterShared {
             self.obs.ejections_total.inc();
         }
         self.obs.backends_alive.set(self.alive_count() as i64);
-    }
-
-    /// Sets the shutdown flag — before any acknowledgement goes out, so a
-    /// client holding the ack observes `is_shutting_down()` — and wakes
-    /// the accept loop on the first call.
-    fn request_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            wake_listener(self.local_addr);
-        }
     }
 
     /// One probe sweep: ping every backend, eject on failure, rejoin on
@@ -293,41 +287,11 @@ impl RouterShared {
         }
     }
 
-    /// Routes one batch: splits the envelopes into per-backend sub-batches
-    /// along the ring (skipping ejected backends), dispatches the
-    /// sub-batches concurrently, and forwards every response line.
-    fn route_batch(self: &Arc<Self>, envelopes: Vec<Envelope>, reply: &mpsc::Sender<String>) {
-        self.obs.requests_total.add(envelopes.len() as u64);
-        let mut groups: HashMap<usize, Vec<Envelope>> = HashMap::new();
-        for env in envelopes {
-            let order = self.ring.order(&env.request.cache_key());
-            let target = order
-                .iter()
-                .copied()
-                .find(|&b| self.backends[b].alive.load(Ordering::SeqCst))
-                // With every backend ejected, still try the primary: it
-                // may have just come back, and the alternative is failing
-                // without asking anyone.
-                .unwrap_or(order[0]);
-            groups.entry(target).or_default().push(env);
-        }
-        let handles: Vec<JoinHandle<()>> = groups
-            .into_iter()
-            .map(|(backend, envs)| {
-                let shared = Arc::clone(self);
-                let reply = reply.clone();
-                std::thread::spawn(move || shared.dispatch_group(backend, &envs, &reply))
-            })
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-
     /// Dispatches one sub-batch, failing over through the backends in
     /// rotation order starting at `first` until one answers. Only
     /// transport-level exhaustion (`io`/`parse` after the full retry
-    /// budget) moves on — anything a backend *answers* is the answer.
+    /// budget) moves on — anything a backend *answers* is the answer,
+    /// `queue_full` included.
     fn dispatch_group(&self, first: usize, envs: &[Envelope], reply: &mpsc::Sender<String>) {
         let n = self.backends.len();
         let mut last_failure = String::new();
@@ -392,15 +356,65 @@ impl RouterShared {
             let _ = reply.send(encode_result_line(env.id, &Err(err.clone())));
         }
     }
+}
 
-    /// The `{"cmd":"stats"}` reply: cluster topology and routing counters
-    /// as one JSON object.
-    fn stats_line(&self) -> String {
+impl Frontend for Router {
+    const NAME: &'static str = "gcco-router";
+
+    /// Splits the envelopes into per-backend sub-batches along the ring
+    /// (skipping ejected backends) and dispatches each on its own thread,
+    /// which forwards every response line.
+    fn on_requests(self: &Arc<Self>, envelopes: Vec<Envelope>, reply: &mpsc::Sender<String>) {
+        self.obs.requests_total.add(envelopes.len() as u64);
+        let mut groups: HashMap<usize, Vec<Envelope>> = HashMap::new();
+        for env in envelopes {
+            let order = self.ring.order(&env.request.cache_key());
+            let target = order
+                .iter()
+                .copied()
+                .find(|&b| self.backends[b].alive.load(Ordering::SeqCst))
+                // With every backend ejected, still try the primary: it
+                // may have just come back, and the alternative is failing
+                // without asking anyone.
+                .unwrap_or(order[0]);
+            groups.entry(target).or_default().push(env);
+        }
+        for (backend, envs) in groups {
+            if self.in_flight.fetch_add(1, Ordering::SeqCst) >= MAX_IN_FLIGHT {
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                let full = Err(GccoError::QueueFull {
+                    capacity: MAX_IN_FLIGHT,
+                });
+                for env in &envs {
+                    let _ = reply.send(encode_result_line(env.id, &full));
+                }
+                continue;
+            }
+            let router = Arc::clone(self);
+            let reply = reply.clone();
+            // Not joined here: the connection's writer, which the
+            // transport joins, runs until this thread drops `reply`.
+            let spawned = std::thread::Builder::new().spawn(move || {
+                // A panicking dispatch still gives its slot back.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                    router.dispatch_group(backend, &envs, &reply);
+                }));
+                router.in_flight.fetch_sub(1, Ordering::SeqCst);
+            });
+            // With no thread the sub-batch goes unanswered, but its slot
+            // is not lost.
+            if spawned.is_err() {
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Cluster topology and routing counters.
+    fn stats_fields(&self) -> String {
         format!(
-            "{{\"stats\":{{\"backends\":{},\"backends_alive\":{},\
+            "\"backends\":{},\"backends_alive\":{},\
              \"requests_total\":{},\"failovers_total\":{},\"no_backend_total\":{},\
-             \"ejections_total\":{},\"rejoins_total\":{},\"probe_failures_total\":{},\
-             \"connections_total\":{},\"active_connections\":{}}}}}",
+             \"ejections_total\":{},\"rejoins_total\":{},\"probe_failures_total\":{}",
             self.backends.len(),
             self.alive_count(),
             self.obs.requests_total.get(),
@@ -409,72 +423,24 @@ impl RouterShared {
             self.obs.ejections_total.get(),
             self.obs.rejoins_total.get(),
             self.obs.probe_failures_total.get(),
-            self.obs.connections_total.get(),
-            self.obs.active_connections.get(),
         )
     }
 
-    fn metrics_line(&self) -> String {
-        format!(
-            "{{\"metrics\":{}}}",
-            json_string(&self.obs.registry.render_prometheus())
-        )
+    /// The router's own `gcco_router_*` series.
+    fn registry(&self) -> &Registry {
+        &self.obs.registry
+    }
+
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
     }
 }
 
-/// A running router. [`RouterHandle::shutdown`] stops intake and joins
-/// every thread; merely dropping the handle does the same (no leaks).
-/// Shutting the router down does **not** shut its backends down.
-pub struct RouterHandle {
-    shared: Arc<RouterShared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
-    }
-
-    /// The router's metrics registry (`gcco_router_*` series).
-    pub fn obs(&self) -> &Registry {
-        &self.shared.obs.registry
-    }
-
-    /// True once shutdown has been requested (locally or over the wire).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shared.request_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-
-    /// Requests shutdown and joins every router thread. In-flight
-    /// sub-batches are drained: their responses are delivered before the
-    /// owning connection closes.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    /// Blocks until a wire `shutdown` command flips the flag, then joins
-    /// exactly like [`RouterHandle::shutdown`].
-    pub fn run_until_shutdown(self) {
-        while !self.is_shutting_down() {
-            std::thread::sleep(POLL);
-        }
-        self.shutdown();
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
+/// A running router. [`Handle::shutdown`] stops intake, delivers the
+/// responses of in-flight sub-batches, and joins every thread; merely
+/// dropping the handle does the same. Shutting the router down does
+/// **not** shut its backends down.
+pub type RouterHandle = Handle<Router>;
 
 /// Binds the router and spawns its accept loop and health prober.
 ///
@@ -491,8 +457,7 @@ pub fn route(config: &RouterConfig) -> Result<RouterHandle, GccoError> {
     let listener = TcpListener::bind(&config.addr)?;
     let obs = RouterObs::new(Registry::new());
     obs.backends_alive.set(config.backends.len() as i64);
-    let shared = Arc::new(RouterShared {
-        local_addr: listener.local_addr()?,
+    let router = Arc::new(Router {
         backends: config
             .backends
             .iter()
@@ -508,117 +473,14 @@ pub fn route(config: &RouterConfig) -> Result<RouterHandle, GccoError> {
         probe_interval: config.probe_interval,
         probe_timeout: config.probe_timeout,
         shutdown: AtomicBool::new(false),
+        in_flight: AtomicUsize::new(0),
         obs,
     });
-    let mut threads = Vec::new();
-    let probe_shared = Arc::clone(&shared);
-    threads.push(
-        std::thread::Builder::new()
-            .name("gcco-router-probe".to_string())
-            .spawn(move || probe_shared.probe_loop())
-            .map_err(|e| GccoError::Io(e.to_string()))?,
-    );
-    let accept_shared = Arc::clone(&shared);
-    let conn_shared = Arc::clone(&shared);
-    threads.push(
-        std::thread::Builder::new()
-            .name("gcco-router-accept".to_string())
-            .spawn(move || {
-                accept_connections(
-                    listener,
-                    &accept_shared.shutdown,
-                    "gcco-router-conn",
-                    move |stream| handle_connection(stream, &conn_shared),
-                );
-            })
-            .map_err(|e| GccoError::Io(e.to_string()))?,
-    );
-    Ok(RouterHandle { shared, threads })
-}
-
-/// One client connection: a reader parsing lines, a writer serializing
-/// responses, and one dispatch thread per batch line so a slow sub-batch
-/// never blocks later lines on the same connection (responses correlate
-/// by id, same as `gcco-serve`).
-fn handle_connection(stream: TcpStream, shared: &Arc<RouterShared>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    shared.obs.connections_total.inc();
-    shared.obs.active_connections.inc();
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    // The writer exits once every sender (reader + in-flight dispatches)
-    // is gone, i.e. after all of this connection's work is answered.
-    let writer = std::thread::Builder::new()
-        .name("gcco-router-write".to_string())
-        .spawn(move || write_replies(write_half, &reply_rx));
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut reader = BufReader::new(stream);
-    let mut acc: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut acc) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let at_eof = acc.last() != Some(&b'\n');
-                let line = String::from_utf8_lossy(&acc).trim().to_string();
-                acc.clear();
-                if !line.is_empty() {
-                    handle_line(&line, shared, &reply_tx);
-                }
-                if at_eof || shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    shared.obs.active_connections.dec();
-    drop(reply_tx);
-    // Joining the writer waits for in-flight dispatch threads too: they
-    // hold reply senders, and the writer only exits once all are gone.
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
-}
-
-fn handle_line(line: &str, shared: &Arc<RouterShared>, reply: &mpsc::Sender<String>) {
-    match parse_client_line(line) {
-        Ok(ClientLine::Requests(envelopes)) => {
-            let shared = Arc::clone(shared);
-            let reply = reply.clone();
-            std::thread::spawn(move || shared.route_batch(envelopes, &reply));
-        }
-        Ok(ClientLine::Command(cmd)) => match cmd.as_str() {
-            "ping" => {
-                let _ = reply.send("{\"pong\":true}".to_string());
-            }
-            "stats" => {
-                let _ = reply.send(shared.stats_line());
-            }
-            "metrics" => {
-                let _ = reply.send(shared.metrics_line());
-            }
-            "shutdown" => {
-                shared.request_shutdown();
-                let _ = reply.send("{\"ok\":\"shutting_down\"}".to_string());
-            }
-            other => {
-                let _ = reply.send(encode_error_line(&GccoError::Parse(format!(
-                    "unknown command \"{other}\""
-                ))));
-            }
-        },
-        // Same contract as gcco-serve: nothing correlatable, so an
-        // id-less error object — never a made-up id.
-        Err(e) => {
-            let _ = reply.send(encode_error_line(&e));
-        }
-    }
+    let probe = Arc::clone(&router);
+    let prober = std::thread::Builder::new()
+        .name("gcco-router-probe".to_string())
+        .spawn(move || probe.probe_loop())?;
+    start(listener, router, vec![prober])
 }
 
 #[cfg(test)]

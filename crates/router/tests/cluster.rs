@@ -10,17 +10,23 @@
 //! in the route → split → forward → re-encode pipeline shows up as a
 //! byte diff.
 
-use gcco_api::json::{encode_batch, Envelope, PROTOCOL_VERSION};
+use gcco_api::json::{
+    encode_batch, encode_error_line, encode_request, parse_client_line, parse_result_line,
+    Envelope, Json, PROTOCOL_VERSION,
+};
 use gcco_api::serve::{
     client_roundtrip, serve, LineConnection, RetryPolicy, ServeConfig, ServerHandle,
 };
 use gcco_api::{
-    DsimRunSpec, Engine, EvalRequest, ModelSpec, MultiChannelSpec, PowerScanSpec, SjOverride,
+    DsimRunSpec, Engine, EvalRequest, GccoError, ModelSpec, MultiChannelSpec, PowerScanSpec,
+    SjOverride,
 };
 use gcco_faults::{ChaosProxy, ConnFault, ProxyPlan};
-use gcco_router::{route, RouterConfig, RouterHandle, BACKEND_POOL_CAP};
+use gcco_router::{route, RouterConfig, RouterHandle, BACKEND_POOL_CAP, MAX_IN_FLIGHT};
 use gcco_store::Store;
-use std::net::SocketAddr;
+use std::collections::HashSet;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -346,24 +352,101 @@ fn all_backends_dead_answers_every_envelope_with_a_structured_error() {
     router.shutdown();
 }
 
+/// Sends `script` on a fresh connection, closes the sending side, and
+/// returns everything the server wrote before closing its own.
+fn raw_session(addr: &SocketAddr, script: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    stream.write_all(script.as_bytes()).expect("write script");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let mut out = String::new();
+    stream.read_to_string(&mut out).expect("read to EOF");
+    out
+}
+
+/// The id-less error line a server answers an unparseable `line` with.
+fn error_reply(line: &str) -> String {
+    let err = parse_client_line(line).expect_err("the line must be rejected");
+    format!("{}\n", encode_error_line(&err))
+}
+
 #[test]
 fn router_speaks_the_serve_command_protocol() {
     let a = backend();
     let router = router_over(vec![a.local_addr()]);
-    let addr = router.local_addr();
-    let pong = client_roundtrip(&addr, "{\"cmd\":\"ping\"}", 1, TIMEOUT).expect("ping");
-    assert_eq!(pong, vec!["{\"pong\":true}".to_string()]);
-    let stats = client_roundtrip(&addr, "{\"cmd\":\"stats\"}", 1, TIMEOUT).expect("stats");
+    let servers = [("serve", a.local_addr()), ("route", router.local_addr())];
+    let ping = "{\"cmd\":\"ping\"}";
+    let pong = "{\"pong\":true}\n".to_string();
+    let unknown = "{\"cmd\":\"reboot\"}";
+    let malformed = "{\"batch\":[";
+    let env = envelope(5, EvalRequest::dsim_run(DsimRunSpec::paper_ring()));
+    let v1 = format!(
+        "{{\"id\":5,\"v\":1,\"request\":{}}}",
+        encode_request(&env.request)
+    );
+    let duplicate = encode_batch(&[env.clone(), env]);
+    let cases: [(&str, String, String); 7] = [
+        ("ping", format!("{ping}\n"), pong.clone()),
+        (
+            "unknown command",
+            format!("{unknown}\n"),
+            format!(
+                "{}\n",
+                encode_error_line(&GccoError::Parse("unknown command \"reboot\"".into()))
+            ),
+        ),
+        (
+            "malformed JSON",
+            format!("{malformed}\n"),
+            error_reply(malformed),
+        ),
+        (
+            "duplicate ids",
+            format!("{duplicate}\n"),
+            error_reply(&duplicate),
+        ),
+        ("v1 envelope", format!("{v1}\n"), error_reply(&v1)),
+        ("blank lines", format!("\n  \n{ping}\n"), pong.clone()),
+        ("no final newline", ping.to_string(), pong),
+    ];
+    for (case, script, expected) in &cases {
+        for (server, addr) in servers {
+            assert_eq!(&raw_session(&addr, script), expected, "{server}: {case}");
+        }
+    }
+    for (server, addr) in servers {
+        let reply = |line: &str| {
+            let lines = client_roundtrip(&addr, line, 1, TIMEOUT).expect("command answered");
+            Json::parse(&lines[0]).expect("reply is JSON")
+        };
+        let stats = reply("{\"cmd\":\"stats\"}");
+        assert!(matches!(stats.field("stats"), Ok(Json::Obj(_))), "{server}");
+        let metrics = reply("{\"cmd\":\"metrics\"}");
+        assert!(
+            matches!(metrics.field("metrics"), Ok(Json::Str(_))),
+            "{server}"
+        );
+    }
+    let stats =
+        client_roundtrip(&router.local_addr(), "{\"cmd\":\"stats\"}", 1, TIMEOUT).expect("stats");
     assert!(stats[0].contains("\"backends\":1"), "{}", stats[0]);
     // gcco-serve's own metrics client works against a router unmodified.
-    let metrics = gcco_api::serve::fetch_metrics(&addr, TIMEOUT).expect("metrics");
-    assert!(
-        metrics.contains("gcco_router_requests_total"),
-        "router metrics must expose gcco_router_* series"
-    );
+    let metrics = gcco_api::serve::fetch_metrics(&router.local_addr(), TIMEOUT).expect("metrics");
+    for series in [
+        "gcco_router_requests_total",
+        "gcco_router_connections_total",
+        "gcco_router_connection_request_count",
+    ] {
+        assert!(
+            metrics.contains(series),
+            "router metrics must expose {series}"
+        );
+    }
     // Wire shutdown stops the router (run_until_shutdown would return) —
     // and must not shut the backend down.
-    gcco_api::serve::send_shutdown(&addr, TIMEOUT).expect("shutdown ack");
+    gcco_api::serve::send_shutdown(&router.local_addr(), TIMEOUT).expect("shutdown ack");
     assert!(router.is_shutting_down(), "the ack follows the flag");
     router.shutdown();
     let still_up =
@@ -464,6 +547,130 @@ fn sequential_batches_reuse_pooled_backend_connections() {
         opened <= BACKEND_POOL_CAP as u64,
         "20 batches opened {opened} backend connections"
     );
+    router.shutdown();
+    a.shutdown();
+}
+
+/// A short `dsim_run` with its own seed (about 5 ms in release).
+fn short_dsim(id: u64) -> Envelope {
+    envelope(
+        id,
+        EvalRequest::dsim_run(DsimRunSpec {
+            seed: id,
+            duration_ns: 2000.0,
+            ..DsimRunSpec::paper_ring()
+        }),
+    )
+}
+
+/// Regression for unbounded router threads: 200 pipelined lines used to
+/// spawn a thread per line plus one per sub-batch, about 400 at peak.
+/// Now at most `MAX_IN_FLIGHT` sub-batches dispatch at once, the rest are
+/// answered `queue_full` by the router, and the backend stays in the
+/// ring.
+#[test]
+fn pipelined_lines_beyond_the_in_flight_bound_get_queue_full() {
+    const LINES: u64 = 200;
+    // A backend queue deeper than the script: every `queue_full` below
+    // is the router's bound, not the backend's.
+    let a = serve(
+        &ServeConfig {
+            workers: 1,
+            queue_capacity: LINES as usize,
+            ..ServeConfig::default()
+        },
+        Engine::new(),
+    )
+    .expect("backend binds");
+    let router = router_over(vec![a.local_addr()]);
+    let script: Vec<String> = (0..LINES).map(|i| encode_batch(&[short_dsim(i)])).collect();
+    let mut conn = LineConnection::connect(&router.local_addr(), TIMEOUT).expect("connect");
+    let replies = conn
+        .exchange(&script.join("\n"), LINES as usize, TIMEOUT)
+        .expect("every line answered");
+    let mut ids = HashSet::new();
+    let mut queue_full = 0;
+    for reply in &replies {
+        let line = parse_result_line(reply).expect("a result line");
+        assert!(ids.insert(line.id), "id {} answered twice", line.id);
+        match &line.result {
+            Ok(_) => {}
+            Err((kind, detail)) if kind == "queue_full" => {
+                assert!(detail.contains(&MAX_IN_FLIGHT.to_string()), "{detail}");
+                queue_full += 1;
+            }
+            Err(other) => panic!("id {}: {other:?}", line.id),
+        }
+    }
+    assert_eq!(ids, (0..LINES).collect::<HashSet<_>>());
+    // Nothing is left to arrive: the next reply is the ping's.
+    assert_eq!(
+        conn.exchange("{\"cmd\":\"ping\"}", 1, TIMEOUT)
+            .expect("pong"),
+        ["{\"pong\":true}"]
+    );
+    assert!(queue_full >= 1, "200 pipelined lines must exceed the bound");
+    assert_eq!(router.obs().counter("gcco_router_ejections_total").get(), 0);
+    router.shutdown();
+    a.shutdown();
+}
+
+/// Regression for ejecting a busy backend: a sub-batch whose backend
+/// still answered `queue_full` when the retry budget ran out used to
+/// count as transport failure, so the router ejected a healthy backend
+/// and answered `io_error` "no live backend answered".
+#[test]
+fn a_busy_backend_answers_queue_full_and_is_not_ejected() {
+    let a = serve(
+        &ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        },
+        Engine::new(),
+    )
+    .expect("backend binds");
+    let router = route(&RouterConfig {
+        backends: vec![a.local_addr()],
+        retry: RetryPolicy {
+            attempts: 1,
+            ..RetryPolicy::default()
+        },
+        ..RouterConfig::default()
+    })
+    .expect("router binds");
+    let slow = |id| {
+        envelope(
+            id,
+            EvalRequest::dsim_run(DsimRunSpec {
+                seed: id,
+                duration_ns: 100_000.0,
+                ..DsimRunSpec::paper_ring()
+            }),
+        )
+    };
+    let wedge = [slow(1), slow(2)];
+    let addr = a.local_addr();
+    let wedger = std::thread::spawn(move || {
+        gcco_api::serve::submit_batch(&addr, &wedge, TIMEOUT).expect("wedge answered")
+    });
+    // Both wedge envelopes are in: the worker is busy with the first, and
+    // the second holds the one queue slot (or was bounced, leaving one).
+    wait_until("wedge submitted", || {
+        a.obs().counter("gcco_serve_requests_total").get() >= 2
+    });
+    let batch: Vec<Envelope> = (10..13).map(short_dsim).collect();
+    let lines = raw_sorted(&router.local_addr(), &batch);
+    assert!(
+        lines.iter().any(|l| l.contains("\"kind\":\"queue_full\"")),
+        "a busy backend answers queue_full: {lines:?}"
+    );
+    assert!(
+        lines.iter().all(|l| !l.contains("io_error")),
+        "a busy backend is not a dead one: {lines:?}"
+    );
+    assert_eq!(router.obs().counter("gcco_router_ejections_total").get(), 0);
+    wedger.join().expect("wedger");
     router.shutdown();
     a.shutdown();
 }
