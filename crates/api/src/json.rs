@@ -18,6 +18,7 @@ use crate::request::{
 };
 use crate::spec::{ModelSpec, RunDistSpec};
 use gcco_stat::{EdgeModel, SamplingTap};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// The protocol version this build speaks. Every envelope must declare it
@@ -281,16 +282,21 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                Some(b) if b < 0x20 => return Err(self.err("unescaped control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar from the source text.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one step. Each of those is ASCII, so
+                    // the run ends on a character boundary of the source
+                    // text and is valid UTF-8.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    if (ch as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -885,12 +891,11 @@ fn parse_envelope(v: &Json) -> Result<Envelope, GccoError> {
 ///
 /// [`GccoError::DuplicateId`] naming the first repeated id.
 pub fn check_unique_ids(envelopes: &[Envelope]) -> Result<(), GccoError> {
-    for (i, env) in envelopes.iter().enumerate() {
-        if envelopes[..i].iter().any(|e| e.id == env.id) {
-            return Err(GccoError::DuplicateId { id: env.id });
-        }
+    let mut seen = HashSet::with_capacity(envelopes.len());
+    match envelopes.iter().find(|env| !seen.insert(env.id)) {
+        Some(env) => Err(GccoError::DuplicateId { id: env.id }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Parses one client line: a single envelope, a batch, or a command.

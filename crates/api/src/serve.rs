@@ -69,7 +69,7 @@ use crate::json::{
 };
 use crate::request::{EvalRequest, EvalResponse};
 use gcco_obs::{Counter, Gauge, Histogram, Registry};
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -843,7 +843,7 @@ impl ConnectionPool {
         check_unique_ids(envelopes)?;
         let mut rng = gcco_faults::SplitMix64::new(policy.seed);
         let mut pending: Vec<Envelope> = envelopes.to_vec();
-        let mut done: std::collections::HashMap<u64, ResultLine> = std::collections::HashMap::new();
+        let mut done: HashMap<u64, ResultLine> = HashMap::new();
         let mut sleep = policy.base;
         let mut last_failure = String::new();
         let attempts = policy.attempts.max(1);
@@ -870,14 +870,14 @@ impl ConnectionPool {
                 }
                 Ok((conn, results)) => {
                     self.put(conn);
-                    let mut rejected: Vec<u64> = Vec::new();
+                    let mut rejected: HashSet<u64> = HashSet::new();
                     for line in results {
                         // The last attempt's `queue_full` is the answer: the
                         // server is busy, not unreachable.
                         if attempt < attempts
                             && matches!(&line.result, Err((kind, _)) if kind == "queue_full")
                         {
-                            rejected.push(line.id);
+                            rejected.insert(line.id);
                         } else {
                             done.insert(line.id, line);
                         }
@@ -1037,11 +1037,8 @@ pub fn submit_batch_with_retry(
 
 /// True when `results` answers exactly the ids in `pending`, each once.
 fn ids_match_pending(results: &[ResultLine], pending: &[Envelope]) -> bool {
-    let mut seen = std::collections::HashSet::with_capacity(results.len());
-    results.len() == pending.len()
-        && results
-            .iter()
-            .all(|line| pending.iter().any(|env| env.id == line.id) && seen.insert(line.id))
+    let mut unanswered: HashSet<u64> = pending.iter().map(|env| env.id).collect();
+    results.len() == pending.len() && results.iter().all(|line| unanswered.remove(&line.id))
 }
 
 /// Connects, sends one raw line and reads `expect` response lines within

@@ -7,9 +7,9 @@
 //! are deterministic and dependency-free.
 
 use gcco_api::json::{
-    encode_batch, encode_envelope, encode_model_spec, encode_request, encode_response,
-    encode_result_line, parse_client_line, parse_model_spec, parse_request, parse_response,
-    parse_result_line, ClientLine, Envelope, Json, PROTOCOL_VERSION,
+    check_unique_ids, encode_batch, encode_envelope, encode_model_spec, encode_request,
+    encode_response, encode_result_line, parse_client_line, parse_model_spec, parse_request,
+    parse_response, parse_result_line, ClientLine, Envelope, Json, PROTOCOL_VERSION,
 };
 use gcco_api::{
     BaselineMetric, BaselineOut, BaselineSpec, BestDesignOut, CdrArchKind, ChannelOut,
@@ -548,4 +548,128 @@ fn hostile_lines_error_without_panicking() {
         let err = parse_client_line(&line).expect_err("out-of-range u32 must be rejected");
         assert_eq!(err.kind(), "parse_error", "{line}: {err:?}");
     }
+}
+
+/// One MiB of text, the size at which a parse that rescans the rest of
+/// the line per character takes tens of seconds in a debug build.
+const MIB: usize = 1 << 20;
+
+#[test]
+fn a_one_mebibyte_command_parses_in_linear_time() {
+    let line = format!("{{\"cmd\":\"{}\"}}", "x".repeat(MIB));
+    let started = std::time::Instant::now();
+    let parsed = parse_client_line(&line).expect("a valid command line");
+    let took = started.elapsed();
+    assert_eq!(parsed, ClientLine::Command("x".repeat(MIB)));
+    assert!(took.as_secs_f64() < 2.0, "1 MiB command took {took:?}");
+}
+
+#[test]
+fn a_one_mebibyte_unknown_field_is_ignored() {
+    let env = Envelope {
+        id: 7,
+        v: Some(PROTOCOL_VERSION),
+        deadline_ms: None,
+        request: EvalRequest::ber_point(ModelSpec::paper_table1()),
+    };
+    let plain = encode_envelope(&env);
+    let padded = plain.replacen('{', &format!("{{\"pad\":\"{}\",", "x".repeat(MIB)), 1);
+    assert_eq!(padded.len(), plain.len() + MIB + "\"pad\":\"\",".len());
+    let started = std::time::Instant::now();
+    let parsed = parse_client_line(&padded).expect("a valid envelope line");
+    let took = started.elapsed();
+    assert_eq!(parsed, ClientLine::Requests(vec![env]));
+    assert!(took.as_secs_f64() < 2.0, "padded envelope took {took:?}");
+}
+
+/// Parsed values and error texts, offsets included, recorded from the
+/// character-at-a-time string parser: a faster scan must reproduce each.
+#[test]
+fn string_cases_parse_as_pinned() {
+    let cases: &[(&str, Result<&str, &str>)] = &[
+        // Raw 2-, 3- and 4-byte UTF-8, alone and between ASCII runs.
+        (
+            "\"a\u{df}b\u{20ac}c\u{1d11e}d\"",
+            Ok("a\u{df}b\u{20ac}c\u{1d11e}d"),
+        ),
+        ("\"\u{df}\u{20ac}\u{1d11e}\"", Ok("\u{df}\u{20ac}\u{1d11e}")),
+        // Every one-character escape.
+        (
+            "\"q\\\"b\\\\s\\/b\\bf\\fn\\nr\\rt\\t\"",
+            Ok("q\"b\\s/b\u{8}f\u{c}n\nr\rt\t"),
+        ),
+        ("\"\\u00e9\"", Ok("\u{e9}")),
+        ("\"caf\\u00e9!\"", Ok("caf\u{e9}!")),
+        ("\"\\ud834\\udd1e\"", Ok("\u{1d11e}")),
+        ("\"\"", Ok("")),
+        ("\"\u{7f}\"", Ok("\u{7f}")),
+        // A lone high surrogate, then a bad low one.
+        ("\"x\\ud834\"", Err("unpaired surrogate at byte 8")),
+        ("\"x\\ud834y\"", Err("unpaired surrogate at byte 8")),
+        (
+            "\"x\\ud834\\u0041\"",
+            Err("invalid low surrogate at byte 14"),
+        ),
+        ("\"x\\udc00\"", Err("invalid unicode escape at byte 8")),
+        // Raw control bytes mid-string, after ASCII and after UTF-8.
+        (
+            "\"ab\u{1}cd\"",
+            Err("unescaped control character at byte 3"),
+        ),
+        (
+            "\"\u{e9}\u{1f}\"",
+            Err("unescaped control character at byte 3"),
+        ),
+        (
+            "\"tab\tinside\"",
+            Err("unescaped control character at byte 4"),
+        ),
+        // Unterminated strings and broken escapes.
+        ("\"abc", Err("unterminated string at byte 4")),
+        ("\"\u{20ac}abc", Err("unterminated string at byte 7")),
+        ("\"ab\\x\"", Err("unknown escape at byte 5")),
+        ("\"ab\\", Err("dangling escape at byte 4")),
+        ("\"ab\\u12\"", Err("truncated \\u escape at byte 5")),
+        ("\"ab\\u12g4\"", Err("invalid \\u escape at byte 5")),
+    ];
+    for &(text, expected) in cases {
+        match (Json::parse(text), expected) {
+            (Ok(parsed), Ok(want)) => assert_eq!(parsed, Json::Str(want.to_string()), "{text:?}"),
+            (Err(e), Err(want)) => {
+                assert_eq!(e.kind(), "parse_error", "{text:?}");
+                assert_eq!(e.detail(), want, "{text:?}");
+            }
+            (got, want) => panic!("{text:?}: got {got:?}, want {want:?}"),
+        }
+    }
+}
+
+/// Regression for a quadratic duplicate-id check: 50,001 ids took about
+/// 13 s in a debug build.
+#[test]
+fn check_unique_ids_is_linear_and_names_the_first_repeat() {
+    let envelope = |id| Envelope {
+        id,
+        v: Some(PROTOCOL_VERSION),
+        deadline_ms: None,
+        request: EvalRequest::ber_point(ModelSpec::paper_table1()),
+    };
+    let mut envelopes: Vec<Envelope> = (0..50_000).map(envelope).collect();
+    assert!(check_unique_ids(&envelopes).is_ok());
+    envelopes.push(envelope(49_998));
+    let started = std::time::Instant::now();
+    let result = check_unique_ids(&envelopes);
+    let took = started.elapsed();
+    assert!(
+        matches!(result, Err(GccoError::DuplicateId { id: 49_998 })),
+        "{result:?}"
+    );
+    assert!(took.as_secs_f64() < 1.0, "50,001 ids took {took:?}");
+    // With two ids repeated, the one whose second copy comes first is
+    // named.
+    let batch: Vec<Envelope> = [1, 2, 3, 3, 1].into_iter().map(envelope).collect();
+    assert!(matches!(
+        check_unique_ids(&batch),
+        Err(GccoError::DuplicateId { id: 3 })
+    ));
 }

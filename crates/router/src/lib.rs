@@ -10,8 +10,11 @@
 //!   with virtual nodes for spread), so identical requests always land on
 //!   the same backend and its warm-context cache / store journal absorbs
 //!   them. An incoming batch is split into one sub-batch per backend and
-//!   each sub-batch is dispatched on its own thread. At most
-//!   [`MAX_IN_FLIGHT`] sub-batches dispatch at once, router-wide; one over
+//!   each sub-batch is queued for a pool of dispatch threads. The threads
+//!   start on demand, park between sub-batches and are reused, so a
+//!   request wakes a thread instead of spawning one. At most
+//!   [`MAX_IN_FLIGHT`] sub-batches are admitted at once, router-wide, and
+//!   there are never more dispatch threads than that; a sub-batch over
 //!   the bound is answered `queue_full`, as a full `gcco-serve` queue is.
 //! * **Health checking** — a prober pings every backend on an interval;
 //!   a failing backend is *ejected* (routes fall through to the next live
@@ -57,11 +60,11 @@ use gcco_api::json::{encode_parsed_result_line, encode_result_line, Envelope};
 use gcco_api::serve::{client_roundtrip, start, ConnectionPool, Frontend, Handle, RetryPolicy};
 use gcco_api::GccoError;
 use gcco_obs::{Counter, Gauge, Registry};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How often the prober's sleep re-checks the shutdown flag.
@@ -70,9 +73,10 @@ const POLL: Duration = Duration::from_millis(25);
 /// Most idle connections the router keeps open to one backend.
 pub const BACKEND_POOL_CAP: usize = 8;
 
-/// Most sub-batches the router dispatches at once, over all connections
-/// (one thread each): `gcco-serve`'s default queue capacity. A sub-batch
-/// over the bound is answered `queue_full`, as a full serve queue would.
+/// Most sub-batches the router admits at once, over all connections, and
+/// so the most dispatch threads it runs: `gcco-serve`'s default queue
+/// capacity. A sub-batch over the bound is answered `queue_full`, as a
+/// full serve queue would.
 pub const MAX_IN_FLIGHT: usize = 64;
 
 /// Router tuning knobs.
@@ -197,6 +201,7 @@ struct RouterObs {
     ejections_total: Arc<Counter>,
     rejoins_total: Arc<Counter>,
     backends_alive: Arc<Gauge>,
+    dispatch_threads: Arc<Gauge>,
 }
 
 impl RouterObs {
@@ -209,13 +214,35 @@ impl RouterObs {
             ejections_total: registry.counter("gcco_router_ejections_total"),
             rejoins_total: registry.counter("gcco_router_rejoins_total"),
             backends_alive: registry.gauge("gcco_router_backends_alive"),
+            dispatch_threads: registry.gauge("gcco_router_dispatch_threads"),
             registry,
         }
     }
 }
 
+/// The part of one request line that goes to one backend.
+struct SubBatch {
+    backend: usize,
+    envelopes: Vec<Envelope>,
+    reply: mpsc::Sender<String>,
+}
+
+/// The dispatch pool's state, under the router's dispatch lock.
+#[derive(Default)]
+struct Dispatch {
+    /// Admitted sub-batches no thread has taken yet.
+    queue: VecDeque<SubBatch>,
+    /// Sub-batches queued or dispatching, bounded by [`MAX_IN_FLIGHT`].
+    admitted: usize,
+    /// Live dispatch threads, counted from just before their spawn.
+    threads: usize,
+    /// Threads not holding a sub-batch: parked, or started and not yet
+    /// at the queue.
+    idle: usize,
+}
+
 /// `gcco-router`'s [`Frontend`]: splits each request line along the hash
-/// ring and dispatches one sub-batch per backend.
+/// ring and queues one sub-batch per backend for the dispatch threads.
 pub struct Router {
     backends: Vec<Backend>,
     ring: HashRing,
@@ -224,8 +251,8 @@ pub struct Router {
     probe_interval: Duration,
     probe_timeout: Duration,
     shutdown: AtomicBool,
-    /// Sub-batches dispatching now, bounded by [`MAX_IN_FLIGHT`].
-    in_flight: AtomicUsize,
+    dispatch: Mutex<Dispatch>,
+    dispatch_ready: Condvar,
     obs: RouterObs,
 }
 
@@ -356,13 +383,110 @@ impl Router {
             let _ = reply.send(encode_result_line(env.id, &Err(err.clone())));
         }
     }
+
+    fn lock_dispatch(&self) -> std::sync::MutexGuard<'_, Dispatch> {
+        self.dispatch.lock().expect("dispatch lock poisoned")
+    }
+
+    /// Admits one sub-batch and queues it for a dispatch thread, starting
+    /// one more thread when queued sub-batches outnumber the idle ones. A
+    /// sub-batch past [`MAX_IN_FLIGHT`] is answered `queue_full` instead.
+    fn admit(self: &Arc<Self>, sub: SubBatch) {
+        let mut pool = self.lock_dispatch();
+        if pool.admitted >= MAX_IN_FLIGHT {
+            drop(pool);
+            let full = Err(GccoError::QueueFull {
+                capacity: MAX_IN_FLIGHT,
+            });
+            for env in &sub.envelopes {
+                let _ = sub.reply.send(encode_result_line(env.id, &full));
+            }
+            return;
+        }
+        pool.admitted += 1;
+        pool.queue.push_back(sub);
+        // Every thread is idle or holds an admitted sub-batch, so starting
+        // one only while `queue > idle` never takes `threads` past
+        // `admitted`, nor so past `MAX_IN_FLIGHT`.
+        let start = pool.queue.len() > pool.idle;
+        if start {
+            pool.threads += 1;
+            pool.idle += 1;
+            self.obs.dispatch_threads.inc();
+        }
+        drop(pool);
+        self.dispatch_ready.notify_one();
+        if start {
+            self.start_dispatch_thread();
+        }
+    }
+
+    fn start_dispatch_thread(self: &Arc<Self>) {
+        let router = Arc::clone(self);
+        let spawned = std::thread::Builder::new()
+            .name("gcco-router-dispatch".to_string())
+            .spawn(move || router.dispatch_loop());
+        let Err(e) = spawned else { return };
+        let mut pool = self.lock_dispatch();
+        pool.threads -= 1;
+        pool.idle -= 1;
+        self.obs.dispatch_threads.dec();
+        // A live thread drains the queue; with none, nothing would, so
+        // answer what is queued rather than leave it unanswered.
+        if pool.threads > 0 {
+            return;
+        }
+        let stranded: Vec<SubBatch> = pool.queue.drain(..).collect();
+        pool.admitted -= stranded.len();
+        drop(pool);
+        let err = Err(GccoError::Io(format!(
+            "cannot start a dispatch thread: {e}"
+        )));
+        for sub in stranded {
+            for env in &sub.envelopes {
+                let _ = sub.reply.send(encode_result_line(env.id, &err));
+            }
+        }
+    }
+
+    /// A dispatch thread's body: take a queued sub-batch or park, until
+    /// shutdown finds the queue empty.
+    fn dispatch_loop(&self) {
+        let mut pool = self.lock_dispatch();
+        loop {
+            if let Some(sub) = pool.queue.pop_front() {
+                pool.idle -= 1;
+                drop(pool);
+                // A panicking dispatch still gives its slot back.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                    self.dispatch_group(sub.backend, &sub.envelopes, &sub.reply);
+                }));
+                // The connection's writer, which the transport joins, runs
+                // until every clone of its sender is gone.
+                drop(sub);
+                pool = self.lock_dispatch();
+                pool.admitted -= 1;
+                pool.idle += 1;
+            } else if self.shutdown.load(Ordering::SeqCst) {
+                pool.threads -= 1;
+                pool.idle -= 1;
+                self.obs.dispatch_threads.dec();
+                return;
+            } else {
+                pool = self
+                    .dispatch_ready
+                    .wait(pool)
+                    .expect("dispatch lock poisoned");
+            }
+        }
+    }
 }
 
 impl Frontend for Router {
     const NAME: &'static str = "gcco-router";
 
     /// Splits the envelopes into per-backend sub-batches along the ring
-    /// (skipping ejected backends) and dispatches each on its own thread,
+    /// (skipping ejected backends) and queues each for a dispatch thread,
     /// which forwards every response line.
     fn on_requests(self: &Arc<Self>, envelopes: Vec<Envelope>, reply: &mpsc::Sender<String>) {
         self.obs.requests_total.add(envelopes.len() as u64);
@@ -379,33 +503,12 @@ impl Frontend for Router {
                 .unwrap_or(order[0]);
             groups.entry(target).or_default().push(env);
         }
-        for (backend, envs) in groups {
-            if self.in_flight.fetch_add(1, Ordering::SeqCst) >= MAX_IN_FLIGHT {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                let full = Err(GccoError::QueueFull {
-                    capacity: MAX_IN_FLIGHT,
-                });
-                for env in &envs {
-                    let _ = reply.send(encode_result_line(env.id, &full));
-                }
-                continue;
-            }
-            let router = Arc::clone(self);
-            let reply = reply.clone();
-            // Not joined here: the connection's writer, which the
-            // transport joins, runs until this thread drops `reply`.
-            let spawned = std::thread::Builder::new().spawn(move || {
-                // A panicking dispatch still gives its slot back.
-                let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-                    router.dispatch_group(backend, &envs, &reply);
-                }));
-                router.in_flight.fetch_sub(1, Ordering::SeqCst);
+        for (backend, envelopes) in groups {
+            self.admit(SubBatch {
+                backend,
+                envelopes,
+                reply: reply.clone(),
             });
-            // With no thread the sub-batch goes unanswered, but its slot
-            // is not lost.
-            if spawned.is_err() {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            }
         }
     }
 
@@ -434,12 +537,23 @@ impl Frontend for Router {
     fn shutdown_flag(&self) -> &AtomicBool {
         &self.shutdown
     }
+
+    /// Flips the shutdown flag under the dispatch lock and wakes the
+    /// parked dispatch threads, which drain the queue and exit.
+    fn request_shutdown(&self) -> bool {
+        let pool = self.lock_dispatch();
+        let already = self.shutdown.swap(true, Ordering::SeqCst);
+        drop(pool);
+        self.dispatch_ready.notify_all();
+        already
+    }
 }
 
 /// A running router. [`Handle::shutdown`] stops intake, delivers the
-/// responses of in-flight sub-batches, and joins every thread; merely
-/// dropping the handle does the same. Shutting the router down does
-/// **not** shut its backends down.
+/// responses of in-flight sub-batches, and joins the accept, connection
+/// and prober threads; merely dropping the handle does the same. The
+/// dispatch threads are woken and exit once the queue is empty. Shutting
+/// the router down does **not** shut its backends down.
 pub type RouterHandle = Handle<Router>;
 
 /// Binds the router and spawns its accept loop and health prober.
@@ -473,7 +587,8 @@ pub fn route(config: &RouterConfig) -> Result<RouterHandle, GccoError> {
         probe_interval: config.probe_interval,
         probe_timeout: config.probe_timeout,
         shutdown: AtomicBool::new(false),
-        in_flight: AtomicUsize::new(0),
+        dispatch: Mutex::new(Dispatch::default()),
+        dispatch_ready: Condvar::new(),
         obs,
     });
     let probe = Arc::clone(&router);

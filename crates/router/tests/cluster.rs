@@ -22,7 +22,7 @@ use gcco_api::{
     SjOverride,
 };
 use gcco_faults::{ChaosProxy, ConnFault, ProxyPlan};
-use gcco_router::{route, RouterConfig, RouterHandle, BACKEND_POOL_CAP, MAX_IN_FLIGHT};
+use gcco_router::{route, HashRing, RouterConfig, RouterHandle, BACKEND_POOL_CAP, MAX_IN_FLIGHT};
 use gcco_store::Store;
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -610,6 +610,13 @@ fn pipelined_lines_beyond_the_in_flight_bound_get_queue_full() {
         ["{\"pong\":true}"]
     );
     assert!(queue_full >= 1, "200 pipelined lines must exceed the bound");
+    // Dispatch threads park instead of exiting, so the live count only
+    // falls at shutdown: its value now is its peak over the run.
+    let threads = router.obs().gauge("gcco_router_dispatch_threads").get();
+    assert!(
+        (1..=MAX_IN_FLIGHT as i64).contains(&threads),
+        "{threads} dispatch threads"
+    );
     assert_eq!(router.obs().counter("gcco_router_ejections_total").get(), 0);
     router.shutdown();
     a.shutdown();
@@ -672,5 +679,81 @@ fn a_busy_backend_answers_queue_full_and_is_not_ejected() {
     assert_eq!(router.obs().counter("gcco_router_ejections_total").get(), 0);
     wedger.join().expect("wedger");
     router.shutdown();
+    a.shutdown();
+}
+
+/// Regression for a thread spawn per sub-batch: 50 sequential batches,
+/// each split across both backends, used to start 100 threads. Parked
+/// dispatch threads are reused instead: two sub-batches are in flight at
+/// once, and at most two more threads can still be on their way back
+/// from the previous batch when the next one arrives.
+#[test]
+fn sequential_split_batches_reuse_parked_dispatch_threads() {
+    let (a, b) = (backend(), backend());
+    let router = router_over(vec![a.local_addr(), b.local_addr()]);
+    let ring = HashRing::new(2, RouterConfig::default().vnodes);
+    let mut by_backend: [Vec<EvalRequest>; 2] = [Vec::new(), Vec::new()];
+    for i in 0.. {
+        if by_backend.iter().all(|reqs| reqs.len() >= 50) {
+            break;
+        }
+        let request = EvalRequest::ber_point_at(ModelSpec::paper_table1(), 0.01 * i as f64, 1e-4);
+        by_backend[ring.primary(&request.cache_key())].push(request);
+    }
+    let [to_a, to_b] = by_backend;
+    let mut client = LineConnection::connect(&router.local_addr(), TIMEOUT).expect("connect");
+    for (i, (ra, rb)) in to_a.into_iter().zip(to_b).take(50).enumerate() {
+        let batch = [envelope(2 * i as u64, ra), envelope(2 * i as u64 + 1, rb)];
+        for line in client
+            .submit_batch(&batch, TIMEOUT)
+            .expect("batch answered")
+        {
+            assert!(line.result.is_ok(), "batch {i}: {:?}", line.result);
+        }
+    }
+    for backend in [&a, &b] {
+        let label = backend.local_addr().to_string();
+        let forwarded = router
+            .obs()
+            .counter_with("gcco_router_backend_requests_total", "backend", &label)
+            .get();
+        assert_eq!(forwarded, 50, "every batch sends one envelope to {label}");
+    }
+    let threads = router.obs().gauge("gcco_router_dispatch_threads").get();
+    assert!((2..=4).contains(&threads), "{threads} dispatch threads");
+    router.shutdown();
+    a.shutdown();
+    b.shutdown();
+}
+
+/// Dropping a router whose dispatch threads are parked returns promptly,
+/// and every dispatch thread exits.
+#[test]
+fn dropping_a_router_ends_its_parked_dispatch_threads() {
+    let a = backend();
+    let router = router_over(vec![a.local_addr()]);
+    let lines = raw_sorted(&router.local_addr(), &[short_dsim(1), short_dsim(2)]);
+    assert!(lines.iter().all(|l| l.contains("\"ok\"")), "{lines:?}");
+    let registry = router.obs().clone();
+    let threads = || registry.gauge("gcco_router_dispatch_threads").get();
+    assert!(threads() >= 1, "a dispatch thread ran the batch");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(router);
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("dropping the router must not wait on parked dispatch threads");
+    dropper.join().expect("dropper thread");
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while threads() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} dispatch threads still live",
+            threads()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     a.shutdown();
 }
