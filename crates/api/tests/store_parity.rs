@@ -284,6 +284,42 @@ fn baseline_responses_replay_bit_identically() {
 }
 
 #[test]
+fn a_rotted_journal_value_is_recomputed_and_healed() {
+    let dir = tmp_dir("rot");
+    let request = EvalRequest::ber_point(ModelSpec::paper_table1());
+    let truth = encode_response(&engine().evaluate(&request).unwrap());
+    let engine = engine().with_store(Arc::new(Store::open(&dir).unwrap()));
+    engine.evaluate(&request).unwrap();
+
+    // Change one digit of the journaled value after open: the value
+    // still decodes, to a different BER.
+    let journal = engine.store().unwrap().journal_path().to_path_buf();
+    let mut bytes = std::fs::read(&journal).unwrap();
+    let value_at = bytes
+        .windows(truth.len())
+        .position(|w| w == truth.as_bytes())
+        .expect("the value is journaled verbatim");
+    let digit = value_at
+        + truth
+            .find(|c: char| c.is_ascii_digit())
+            .expect("a BER has digits");
+    bytes[digit] = if bytes[digit] == b'1' { b'2' } else { b'1' };
+    std::fs::write(&journal, &bytes).unwrap();
+
+    let counter = |name: &str| engine.obs().counter(name).get();
+    let answer = encode_response(&engine.evaluate(&request).unwrap());
+    assert_eq!(answer, truth, "a rotted value must never be served");
+    assert_eq!(counter("gcco_store_errors_total"), 1);
+    assert_eq!(counter("gcco_store_degraded_total"), 1);
+    // The recomputed value was re-journaled: the next answer is a hit.
+    let hits = counter("gcco_store_hits_total");
+    let answer = encode_response(&engine.evaluate(&request).unwrap());
+    assert_eq!(answer, truth);
+    assert_eq!(counter("gcco_store_hits_total"), hits + 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn errors_are_never_journaled() {
     let dir = tmp_dir("errors");
     let engine = engine().with_store(Arc::new(Store::open(&dir).unwrap()));

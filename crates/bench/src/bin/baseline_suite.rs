@@ -4,119 +4,29 @@
 //! the frequency-detector-assisted bang-bang variant.
 //!
 //! Every number is an [`gcco_api::EvalRequest`] evaluated through the
-//! engine — locally (with an optional persistent `--store` journal, so a
-//! re-run replays every row from disk bit-identically) or against a
-//! `gcco-serve`/`gcco-router` endpoint with `--remote` (the acceptance
-//! contract: serial, store-warmed and router-sharded runs print the same
-//! report bytes).
+//! [`gcco_bench::campaign`] runner — locally (with an optional persistent
+//! `--store` journal, so a re-run replays every row from disk
+//! bit-identically) or against a `gcco-serve`/`gcco-router` endpoint with
+//! `--remote` (the acceptance contract: serial, store-warmed and
+//! router-sharded runs print the same report bytes).
 //!
 //! ```text
 //! baseline_suite [--store DIR] [--report FILE] [--quick] [--remote ADDR]
-//!
-//!   --store DIR    attach a persistent gcco-store journal: every row is
-//!                  journaled under its canonical cache key, so a killed
-//!                  or repeated run replays instead of recomputing
-//!   --report FILE  write the deterministic comparison report to FILE
-//!   --quick        shorter runs (20 kbit instead of 100 kbit) for smoke
-//!                  jobs — still fully deterministic
-//!   --remote ADDR  evaluate every request over TCP against a gcco-serve
-//!                  or gcco-router endpoint (incompatible with --store,
-//!                  which is a local-oracle concern)
 //! ```
+//!
+//! The flags are the runner's; `--quick` runs 20 kbit instead of
+//! 100 kbit per tracking run, for smoke jobs — still fully deterministic.
 
 use gcco_api::{
-    BaselineMetric, BaselineOut, BaselineSpec, CdrArchKind, Engine, EvalRequest, EvalResponse,
-    GccoError, ModelSpec,
+    BaselineMetric, BaselineOut, BaselineSpec, CdrArchKind, EvalRequest, EvalResponse, ModelSpec,
 };
-use gcco_bench::{header, metrics, result_line, Remote};
-use gcco_store::Store;
+use gcco_bench::{fmt_opt, header, metrics, result_line, Campaign};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// The SJ frequency (normalized to the bit rate) every JTOL column probes.
 const JTOL_FREQ_NORM: f64 = 0.01;
 /// The bracket top for every capture-range bisection, as |freq offset|.
 const CAPTURE_HI: f64 = 0.1;
-
-/// Evaluates request lists locally or over the wire; both paths answer
-/// the same kernels, so the report is byte-identical either way.
-enum Oracle {
-    Local(Engine),
-    Remote(Remote),
-}
-
-impl Oracle {
-    /// Evaluates every request, returning responses **in request order**.
-    fn eval_all(&mut self, requests: &[EvalRequest]) -> Result<Vec<EvalResponse>, GccoError> {
-        match self {
-            Oracle::Local(engine) => requests.iter().map(|r| engine.evaluate(r)).collect(),
-            Oracle::Remote(remote) => remote.evaluate_all(requests),
-        }
-    }
-
-    /// Store hits observed by the local engine (`0` on the wire path —
-    /// any journal there is the server's to count).
-    fn store_hits(&self) -> u64 {
-        match self {
-            Oracle::Local(engine) => engine.obs().counter("gcco_store_hits_total").get(),
-            Oracle::Remote(_) => 0,
-        }
-    }
-}
-
-struct Args {
-    store: Option<String>,
-    report: Option<String>,
-    quick: bool,
-    remote: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        store: None,
-        report: None,
-        quick: false,
-        remote: None,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => {
-                args.store = Some(
-                    it.next()
-                        .ok_or_else(|| "--store needs a directory".to_string())?
-                        .clone(),
-                );
-            }
-            "--report" => {
-                args.report = Some(
-                    it.next()
-                        .ok_or_else(|| "--report needs a file path".to_string())?
-                        .clone(),
-                );
-            }
-            "--quick" => args.quick = true,
-            "--remote" => {
-                args.remote = Some(
-                    it.next()
-                        .ok_or_else(|| "--remote needs an ADDR:PORT".to_string())?
-                        .clone(),
-                );
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument \"{other}\"\nusage: baseline_suite \
-                     [--store DIR] [--report FILE] [--quick] [--remote ADDR]"
-                ));
-            }
-        }
-    }
-    if args.remote.is_some() && args.store.is_some() {
-        return Err("--remote evaluates server-side; --store only applies locally".to_string());
-    }
-    Ok(args)
-}
 
 fn arch_label(arch: CdrArchKind) -> &'static str {
     match arch {
@@ -124,20 +34,6 @@ fn arch_label(arch: CdrArchKind) -> &'static str {
         CdrArchKind::MuellerMuller => "mueller-muller",
         CdrArchKind::Gardner => "gardner",
         CdrArchKind::BangBangFd => "bang-bang+fd",
-    }
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "none".to_string(),
-    }
-}
-
-fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:?}"),
-        None => "none".to_string(),
     }
 }
 
@@ -166,22 +62,23 @@ fn render_report(rows: &[ArchRow], gcco_jtol_pp: f64, gcco_ftol: f64, quick: boo
             "arch {} lock_bits={} residual_uirms={} errors={} updates={} \
              capture_frac={} jtol_0p01fb_uipp={}",
             arch_label(row.arch),
-            opt_u64(row.track.lock_bits),
-            opt_f64(row.track.residual_rms_ui),
+            fmt_opt(row.track.lock_bits),
+            fmt_opt(row.track.residual_rms_ui),
             row.track.errors,
             row.track.updates,
-            opt_f64(row.capture.capture_range),
-            opt_f64(row.jtol.jtol_amp_pp),
+            fmt_opt(row.capture.capture_range),
+            fmt_opt(row.jtol.jtol_amp_pp),
         );
     }
     report
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("baseline_suite: {e}");
-        std::process::exit(2);
-    });
+    let mut campaign = Campaign::from_args(
+        "baseline_suite",
+        "[--store DIR] [--report FILE] [--quick] [--remote ADDR]",
+        metrics::BASELINE_STORE_HITS,
+    );
     header(
         "baseline_suite",
         "GCCO vs bang-bang vs Mueller-Muller vs Gardner (behavioral loops)",
@@ -189,7 +86,7 @@ fn main() {
          the behavioral baselines quantify what the loops actually achieve",
     );
 
-    let bits: u32 = if args.quick { 20_000 } else { 100_000 };
+    let bits: u32 = if campaign.quick { 20_000 } else { 100_000 };
     println!(
         "tracking {bits} PRBS7 bits per run, JTOL at {JTOL_FREQ_NORM} f_b, \
          capture bracket +/-{CAPTURE_HI} of f_b\n"
@@ -225,33 +122,10 @@ fn main() {
         }
     }
 
-    let mut oracle = if let Some(addr) = &args.remote {
-        println!("evaluating through {addr}");
-        Oracle::Remote(Remote::new(addr).unwrap_or_else(|e| {
-            eprintln!("baseline_suite: --remote: {e}");
-            std::process::exit(2);
-        }))
-    } else {
-        let mut engine = Engine::new();
-        if let Some(dir) = &args.store {
-            let store = Store::open(dir).unwrap_or_else(|e| {
-                eprintln!("baseline_suite: --store {dir}: {e}");
-                std::process::exit(2);
-            });
-            let recovery = store.recovery();
-            println!(
-                "store {dir}: {} records recovered, {} torn bytes truncated",
-                recovery.intact_records, recovery.torn_bytes
-            );
-            engine = engine.with_store(Arc::new(store));
-        }
-        Oracle::Local(engine)
-    };
-
-    let responses = oracle.eval_all(&requests).unwrap_or_else(|e| {
-        eprintln!("baseline_suite: {e}");
-        std::process::exit(1);
-    });
+    campaign.open();
+    let responses = campaign
+        .evaluate(&requests)
+        .unwrap_or_else(|e| campaign.fail(1, e));
 
     let mut it = responses.into_iter();
     let gcco_jtol_pp = match it.next() {
@@ -303,10 +177,9 @@ fn main() {
         );
     }
 
-    let report = render_report(&rows, gcco_jtol_pp, gcco_ftol, args.quick);
+    let report = render_report(&rows, gcco_jtol_pp, gcco_ftol, campaign.quick);
 
-    let hits = oracle.store_hits();
-    result_line(metrics::BASELINE_STORE_HITS, hits);
+    result_line(metrics::BASELINE_STORE_HITS, campaign.store_hits());
     result_line(
         metrics::BASELINE_GCCO_JTOL_0P01FB,
         format!("{gcco_jtol_pp:.2}"),
@@ -334,7 +207,7 @@ fn main() {
                 metrics::BASELINE_FD_CAPTURE_PCT,
             ),
         };
-        result_line(lock_key, opt_u64(row.track.lock_bits));
+        result_line(lock_key, fmt_opt(row.track.lock_bits));
         result_line(
             jtol_key,
             row.jtol
@@ -349,13 +222,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.report {
-        std::fs::write(path, &report).unwrap_or_else(|e| {
-            eprintln!("baseline_suite: --report {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("report written to {path}");
-    }
+    campaign.write_report(&report);
 
     // The architectural claims the table must support: every loop locks
     // on the clean run, and the open-loop GCCO out-tracks every loop at

@@ -10,34 +10,18 @@
 //!
 //! ```text
 //! campaign [--store DIR] [--report FILE] [--workers N] [--limit N] [--quick]
-//!
-//!   --store DIR    attach a persistent gcco-store journal: every finished
-//!                  corner is journaled, so a killed campaign resumes from
-//!                  where it stopped (finished corners replay as store
-//!                  hits, bit-identically) and the final report is
-//!                  byte-identical to an uninterrupted run
-//!   --report FILE  write the deterministic yield report to FILE
-//!   --workers N    shard corners over N workers (default: GCCO_WORKERS
-//!                  or available parallelism)
-//!   --limit N      evaluate at most N corners, then exit with code 3
-//!                  without a report — simulates an interrupted campaign
-//!   --quick        9-corner smoke grid instead of the full 45 corners
-//!   --throttle-ms N  sleep N ms after each computed corner (store hits
-//!                  are not throttled) — lets the CI resume job kill the
-//!                  campaign deterministically mid-run
+//!          [--throttle-ms N]
 //! ```
 //!
-//! Corners are sharded with the same deterministic
-//! [`gcco_stat::par_map_grid`] the sweep engine uses (results are
+//! The flags are the [`gcco_bench::campaign`] runner's; `--quick` is the
+//! 9-corner smoke grid instead of the full 45 corners. Corners are
+//! sharded over `--workers` in deterministic order (results are
 //! worker-count invariant), with the engine pinned to one internal worker
 //! per corner to avoid oversubscription.
 
-use gcco_api::{Engine, EngineConfig, EvalRequest, EvalResponse, ModelSpec};
-use gcco_bench::{fmt_ber, header, metrics, result_line};
-use gcco_stat::{available_workers, par_map_grid};
-use gcco_store::Store;
+use gcco_api::{EvalRequest, EvalResponse, ModelSpec};
+use gcco_bench::{fmt_ber, header, metrics, result_line, Campaign};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// The BER every corner must meet — the paper's target.
 const TARGET_BER: f64 = 1e-12;
@@ -106,80 +90,12 @@ fn corner_grid(quick: bool) -> Vec<Corner> {
     corners
 }
 
-struct Args {
-    store: Option<String>,
-    report: Option<String>,
-    workers: usize,
-    limit: Option<usize>,
-    quick: bool,
-    throttle_ms: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        store: None,
-        report: None,
-        workers: available_workers(),
-        limit: None,
-        quick: false,
-        throttle_ms: 0,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => {
-                args.store = Some(
-                    it.next()
-                        .ok_or_else(|| "--store needs a directory".to_string())?
-                        .clone(),
-                );
-            }
-            "--report" => {
-                args.report = Some(
-                    it.next()
-                        .ok_or_else(|| "--report needs a file path".to_string())?
-                        .clone(),
-                );
-            }
-            "--workers" => {
-                args.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--workers needs a positive integer".to_string())?;
-            }
-            "--limit" => {
-                args.limit = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "--limit needs a positive integer".to_string())?,
-                );
-            }
-            "--quick" => args.quick = true,
-            "--throttle-ms" => {
-                args.throttle_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| "--throttle-ms needs an integer".to_string())?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument \"{other}\"\nusage: campaign [--store DIR] \
-                     [--report FILE] [--workers N] [--limit N] [--quick] [--throttle-ms N]"
-                ));
-            }
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("campaign: {e}");
-        std::process::exit(2);
-    });
+    let mut campaign = Campaign::from_args(
+        "campaign",
+        "[--store DIR] [--report FILE] [--workers N] [--limit N] [--quick] [--throttle-ms N]",
+        metrics::CAMPAIGN_STORE_HITS,
+    );
     header(
         "Campaign",
         "multi-channel corner yield (CCO mismatch x CID x DJ/RJ severity)",
@@ -187,73 +103,26 @@ fn main() {
          (Fig. 2 multi-channel operation, Table 1 jitter)",
     );
 
-    let mut corners = corner_grid(args.quick);
+    let corners = corner_grid(campaign.quick);
     let total = corners.len();
-    let limited = match args.limit {
-        Some(n) if n < total => {
-            corners.truncate(n);
-            true
-        }
-        _ => false,
-    };
-
-    // One engine worker per corner: the campaign parallelism is across
-    // corners, so nested grid parallelism would only oversubscribe.
-    let mut engine = Engine::with_config(EngineConfig {
-        cache_capacity: 8,
-        workers: Some(1),
-    });
-    if let Some(dir) = &args.store {
-        let store = Store::open(dir).unwrap_or_else(|e| {
-            eprintln!("campaign: --store {dir}: {e}");
-            std::process::exit(2);
-        });
-        let recovery = store.recovery();
-        println!(
-            "store {dir}: {} records recovered, {} torn bytes truncated",
-            recovery.intact_records, recovery.torn_bytes
-        );
-        engine = engine.with_store(Arc::new(store));
-    }
-
+    campaign.open();
     println!(
         "evaluating {} of {total} corners on {} workers\n",
-        corners.len(),
-        args.workers
+        campaign.budget(total),
+        campaign.workers
     );
-    let bers = par_map_grid(&corners, args.workers, |_, corner: &Corner| {
-        let request = corner.request();
-        // Journaled corners replay instantly even under --throttle-ms:
-        // the throttle models computation cost, and a resumed campaign's
-        // whole point is not paying it twice.
-        let journaled = args.throttle_ms > 0
-            && engine
-                .store()
-                .is_some_and(|s| s.contains(&request.cache_key()));
-        let ber = match engine.evaluate(&request) {
-            Ok(EvalResponse::Scalar { value }) => value,
-            Ok(other) => unreachable!("a BER point yields a scalar, got {}", other.kind()),
-            Err(e) => {
-                // Corner specs are constructed in-range; any failure here
-                // is a bug, not an operating condition.
-                panic!("corner evaluation failed: {e}")
-            }
-        };
-        if args.throttle_ms > 0 && !journaled {
-            std::thread::sleep(std::time::Duration::from_millis(args.throttle_ms));
-        }
-        ber
-    });
-
-    let store_hits = engine.obs().counter("gcco_store_hits_total").get();
-    if limited {
-        println!(
-            "stopped after {} of {total} corners (--limit); no report written",
-            corners.len()
-        );
-        result_line(metrics::CAMPAIGN_STORE_HITS, store_hits);
-        std::process::exit(3);
-    }
+    let requests: Vec<EvalRequest> = corners.iter().map(Corner::request).collect();
+    let bers: Vec<f64> = campaign
+        .evaluate(&requests)
+        // Corner specs are constructed in-range; any failure here is a
+        // bug, not an operating condition.
+        .unwrap_or_else(|e| panic!("corner evaluation failed: {e}"))
+        .into_iter()
+        .map(|response| match response {
+            EvalResponse::Scalar { value } => value,
+            other => unreachable!("a BER point yields a scalar, got {}", other.kind()),
+        })
+        .collect();
 
     // The deterministic report: corner order is grid order, floats are
     // `{:?}` (shortest exact form), so two runs that computed the same
@@ -284,14 +153,7 @@ fn main() {
         metrics::CAMPAIGN_WORST_BER,
         fmt_ber(worst).trim().to_string(),
     );
-    result_line(metrics::CAMPAIGN_STORE_HITS, store_hits);
-
-    if let Some(path) = &args.report {
-        std::fs::write(path, &report).unwrap_or_else(|e| {
-            eprintln!("campaign: --report {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("report written to {path}");
-    }
+    result_line(metrics::CAMPAIGN_STORE_HITS, campaign.store_hits());
+    campaign.write_report(&report);
     println!("\nOK: {pass}/{total} corners hold BER {TARGET_BER:e} (yield {yield_pct:.1}%).");
 }

@@ -10,35 +10,21 @@
 //! channel count × mismatch spread σ(ε) × line-code CID.
 //!
 //! ```text
-//! mc_campaign [--store DIR] [--report FILE] [--workers N] [--limit N] [--quick]
-//!
-//!   --store DIR    attach a persistent gcco-store journal: every finished
-//!                  cell is journaled (and, inside each cell, every
-//!                  finished channel), so a killed campaign resumes from
-//!                  where it stopped and the final report is byte-identical
-//!                  to an uninterrupted run
-//!   --report FILE  write the deterministic yield report to FILE
-//!   --workers N    shard cells over N workers (default: GCCO_WORKERS
-//!                  or available parallelism)
-//!   --limit N      evaluate at most N cells, then exit with code 3
-//!                  without a report — simulates an interrupted campaign
-//!   --quick        4-cell smoke grid instead of the full 27 cells
-//!   --throttle-ms N  sleep N ms after each computed cell (store hits
-//!                  are not throttled) — lets the CI resume job kill the
-//!                  campaign deterministically mid-run
+//! mc_campaign [--store DIR] [--report FILE] [--workers N] [--limit N]
+//!             [--quick] [--throttle-ms N]
 //! ```
 //!
-//! Cells are sharded with the same deterministic
-//! [`gcco_stat::par_map_grid`] the sweep engine uses (results are
+//! The flags are the [`gcco_bench::campaign`] runner's; `--quick` is the
+//! 4-cell smoke grid instead of the full 27 cells. Under `--store` each
+//! cell journals its per-channel sub-results too, so a kill can land
+//! mid-cell and the resume still replays every finished channel. Cells
+//! are sharded over `--workers` in deterministic order (results are
 //! worker-count invariant), with the engine pinned to one internal worker
 //! per cell to avoid oversubscription.
 
-use gcco_api::{Engine, EngineConfig, EvalRequest, EvalResponse, ModelSpec, MultiChannelSpec};
-use gcco_bench::{fmt_ber, header, metrics, result_line};
-use gcco_stat::{available_workers, par_map_grid};
-use gcco_store::Store;
+use gcco_api::{EvalRequest, EvalResponse, ModelSpec, MultiChannelSpec};
+use gcco_bench::{fmt_ber, header, metrics, result_line, Campaign};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// The BER every channel of every cell must meet — the paper's target.
 const TARGET_BER: f64 = 1e-12;
@@ -128,80 +114,12 @@ fn cell_grid(quick: bool) -> Vec<Cell> {
     cells
 }
 
-struct Args {
-    store: Option<String>,
-    report: Option<String>,
-    workers: usize,
-    limit: Option<usize>,
-    quick: bool,
-    throttle_ms: u64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        store: None,
-        report: None,
-        workers: available_workers(),
-        limit: None,
-        quick: false,
-        throttle_ms: 0,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => {
-                args.store = Some(
-                    it.next()
-                        .ok_or_else(|| "--store needs a directory".to_string())?
-                        .clone(),
-                );
-            }
-            "--report" => {
-                args.report = Some(
-                    it.next()
-                        .ok_or_else(|| "--report needs a file path".to_string())?
-                        .clone(),
-                );
-            }
-            "--workers" => {
-                args.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--workers needs a positive integer".to_string())?;
-            }
-            "--limit" => {
-                args.limit = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "--limit needs a positive integer".to_string())?,
-                );
-            }
-            "--quick" => args.quick = true,
-            "--throttle-ms" => {
-                args.throttle_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| "--throttle-ms needs an integer".to_string())?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument \"{other}\"\nusage: mc_campaign [--store DIR] \
-                     [--report FILE] [--workers N] [--limit N] [--quick] [--throttle-ms N]"
-                ));
-            }
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("mc_campaign: {e}");
-        std::process::exit(2);
-    });
+    let mut campaign = Campaign::from_args(
+        "mc_campaign",
+        "[--store DIR] [--report FILE] [--workers N] [--limit N] [--quick] [--throttle-ms N]",
+        metrics::MC_STORE_HITS,
+    );
     header(
         "MC campaign",
         "multi-channel receiver yield (channels x mismatch spread x CID)",
@@ -209,90 +127,47 @@ fn main() {
          BER 1e-12 under 5 mW/Gbit/s (Fig. 2, Table 1, the power headline)",
     );
 
-    let mut cells = cell_grid(args.quick);
+    let cells = cell_grid(campaign.quick);
     let total = cells.len();
-    let limited = match args.limit {
-        Some(n) if n < total => {
-            cells.truncate(n);
-            true
-        }
-        _ => false,
-    };
-
-    // One engine worker per cell: the campaign parallelism is across
-    // cells, so nested per-channel parallelism would only oversubscribe.
-    let mut engine = Engine::with_config(EngineConfig {
-        cache_capacity: 8,
-        workers: Some(1),
-    });
-    if let Some(dir) = &args.store {
-        let store = Store::open(dir).unwrap_or_else(|e| {
-            eprintln!("mc_campaign: --store {dir}: {e}");
-            std::process::exit(2);
-        });
-        let recovery = store.recovery();
-        println!(
-            "store {dir}: {} records recovered, {} torn bytes truncated",
-            recovery.intact_records, recovery.torn_bytes
-        );
-        engine = engine.with_store(Arc::new(store));
-    }
-
+    campaign.open();
     println!(
         "evaluating {} of {total} cells on {} workers\n",
-        cells.len(),
-        args.workers
+        campaign.budget(total),
+        campaign.workers
     );
-    let outs = par_map_grid(&cells, args.workers, |i, cell: &Cell| {
-        // Seed by grid position: reproducible, distinct per cell, and
-        // stable under --limit truncation (the prefix keeps its seeds).
-        let request = cell.request(i as u64 + 1);
-        // Journaled cells replay instantly even under --throttle-ms:
-        // the throttle models computation cost, and a resumed campaign's
-        // whole point is not paying it twice.
-        let journaled = args.throttle_ms > 0
-            && engine
-                .store()
-                .is_some_and(|s| s.contains(&request.cache_key()));
-        let out = match engine.evaluate(&request) {
-            Ok(EvalResponse::MultiChannel {
+    // Seed by grid position: reproducible, distinct per cell, and stable
+    // under --limit (the evaluated prefix keeps its seeds).
+    let requests: Vec<EvalRequest> = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| cell.request(i as u64 + 1))
+        .collect();
+    let outs: Vec<CellOut> = campaign
+        .evaluate(&requests)
+        // Cell specs are constructed in-range; any failure here is a bug,
+        // not an operating condition.
+        .unwrap_or_else(|e| panic!("cell evaluation failed: {e}"))
+        .into_iter()
+        .map(|response| match response {
+            EvalResponse::MultiChannel {
                 channels,
                 worst_ber,
                 yield_pct,
                 mw_per_gbps,
                 within_budget,
-            }) => CellOut {
+            } => CellOut {
                 yield_pct,
                 worst_ber,
                 max_settling_ui: channels.iter().map(|c| c.settling_ui).fold(0.0, f64::max),
                 mw_per_gbps,
                 within_budget,
             },
-            Ok(other) => unreachable!(
+            other => unreachable!(
                 "a multi-channel request yields a multi-channel response, got {}",
                 other.kind()
             ),
-            Err(e) => {
-                // Cell specs are constructed in-range; any failure here
-                // is a bug, not an operating condition.
-                panic!("cell evaluation failed: {e}")
-            }
-        };
-        if args.throttle_ms > 0 && !journaled {
-            std::thread::sleep(std::time::Duration::from_millis(args.throttle_ms));
-        }
-        out
-    });
-
-    let store_hits = engine.obs().counter("gcco_store_hits_total").get();
-    if limited {
-        println!(
-            "stopped after {} of {total} cells (--limit); no report written",
-            cells.len()
-        );
-        result_line(metrics::MC_STORE_HITS, store_hits);
-        std::process::exit(3);
-    }
+        })
+        .collect();
 
     // The deterministic report: cell order is grid order, floats are
     // `{:?}` (shortest exact form), so two runs that computed the same
@@ -328,15 +203,8 @@ fn main() {
     if let Some(mw) = worst_cell_mw {
         result_line(metrics::MC_MW_PER_GBPS, format!("{mw:.3}"));
     }
-    result_line(metrics::MC_STORE_HITS, store_hits);
-
-    if let Some(path) = &args.report {
-        std::fs::write(path, &report).unwrap_or_else(|e| {
-            eprintln!("mc_campaign: --report {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("report written to {path}");
-    }
+    result_line(metrics::MC_STORE_HITS, campaign.store_hits());
+    campaign.write_report(&report);
     println!(
         "\nOK: {pass}/{total} cells hold every channel at BER {TARGET_BER:e} \
          (min yield {min_yield:.1}%)."

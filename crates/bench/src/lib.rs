@@ -9,78 +9,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod metrics;
 pub mod runner;
 
-use gcco_api::json::{Envelope, PROTOCOL_VERSION};
-use gcco_api::serve::{ConnectionPool, RetryPolicy};
-use gcco_api::{EvalRequest, EvalResponse, GccoError};
-use std::net::ToSocketAddrs;
-use std::time::Duration;
-
-/// A `gcco-serve` or `gcco-router` endpoint the `--remote` modes evaluate
-/// against: each request list goes out as one wire batch over a pooled
-/// persistent connection, with the default retry policy.
-pub struct Remote {
-    addr: String,
-    pool: ConnectionPool,
-}
-
-impl Remote {
-    /// How long one batch attempt may take.
-    const TIMEOUT: Duration = Duration::from_secs(3600);
-
-    /// The endpoint at `addr` (`HOST:PORT`). Nothing connects until the
-    /// first batch.
-    ///
-    /// # Errors
-    ///
-    /// [`GccoError::Io`] when `addr` does not resolve.
-    pub fn new(addr: &str) -> Result<Remote, GccoError> {
-        let resolved = addr
-            .to_socket_addrs()
-            .ok()
-            .and_then(|mut all| all.next())
-            .ok_or_else(|| GccoError::Io(format!("{addr}: cannot resolve")))?;
-        Ok(Remote {
-            addr: addr.to_string(),
-            pool: ConnectionPool::new(resolved, 1),
-        })
-    }
-
-    /// Evaluates `requests` as one batch (envelope ids `1..=n`) and
-    /// returns the responses in request order.
-    ///
-    /// # Errors
-    ///
-    /// The transport error once the retry budget is spent, or
-    /// [`GccoError::Io`] naming the first request the server answered
-    /// with an error.
-    pub fn evaluate_all(&self, requests: &[EvalRequest]) -> Result<Vec<EvalResponse>, GccoError> {
-        let envelopes: Vec<Envelope> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, request)| Envelope {
-                id: i as u64 + 1,
-                v: Some(PROTOCOL_VERSION),
-                deadline_ms: None,
-                request: request.clone(),
-            })
-            .collect();
-        self.pool
-            .submit_batch_with_retry(&envelopes, Self::TIMEOUT, &RetryPolicy::default())?
-            .into_iter()
-            .map(|line| {
-                line.result.map_err(|(kind, detail)| {
-                    GccoError::Io(format!(
-                        "{}: request {} failed: {kind}: {detail}",
-                        self.addr, line.id
-                    ))
-                })
-            })
-            .collect()
-    }
-}
+pub use campaign::Campaign;
 
 /// Builds the engine every experiment binary evaluates through, honoring
 /// the `GCCO_STORE` environment variable: when set, a persistent
@@ -128,6 +61,12 @@ pub fn fmt_ber(ber: f64) -> String {
     }
 }
 
+/// Formats an optional report field: `{:?}` (shortest exact form for
+/// floats) or `none`.
+pub fn fmt_opt<T: std::fmt::Debug>(value: Option<T>) -> String {
+    value.map_or_else(|| "none".to_string(), |v| format!("{v:?}"))
+}
+
 /// An ASCII log-scale sparkline for BER rows (deeper = more dashes).
 pub fn ber_bar(ber: f64) -> String {
     let floor = 1e-15f64;
@@ -149,6 +88,14 @@ mod tests {
     fn ber_formatting() {
         assert_eq!(fmt_ber(1e-20), "<1e-15 ");
         assert_eq!(fmt_ber(3.2e-5), "3.2e-5");
+    }
+
+    #[test]
+    fn optional_fields_print_exactly_or_none() {
+        assert_eq!(fmt_opt(Some(0.1f64)), "0.1");
+        assert_eq!(fmt_opt(Some(1.0f64)), "1.0");
+        assert_eq!(fmt_opt(Some(42u64)), "42");
+        assert_eq!(fmt_opt::<f64>(None), "none");
     }
 
     #[test]

@@ -34,6 +34,11 @@
 //! Duplicate keys are legal; the **last** record for a key wins (which is
 //! what makes both re-appending and [`Store::compact`] safe).
 //!
+//! Recovery is not the only check: [`Store::get`] and [`Store::compact`]
+//! read each record back whole and verify it against its checksum, so a
+//! value that rots on disk after open fails with `InvalidData` instead of
+//! being served, or re-checksummed into the compacted journal.
+//!
 //! # Durability
 //!
 //! The exact guarantee depends on the configured [`SyncPolicy`]:
@@ -108,12 +113,32 @@ const MAX_VAL_LEN: u32 = 1 << 28;
 /// by tests to pin known-answer hashes of canonical keys.
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues a 64-bit FNV-1a `hash` over `bytes`.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// A record's checksum: FNV-1a over the key bytes, then the value bytes.
+fn record_checksum(key: &[u8], value: &[u8]) -> u64 {
+    fnv1a_extend(fnv1a_64(key), value)
+}
+
+/// The journal bytes of one `(key, value)` record: header, key, value.
+fn encode_record(key: &str, value: &[u8]) -> Vec<u8> {
+    let mut record = Vec::with_capacity(HEADER_LEN + key.len() + value.len());
+    record.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    record.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    record.extend_from_slice(&record_checksum(key.as_bytes(), value).to_le_bytes());
+    record.extend_from_slice(key.as_bytes());
+    record.extend_from_slice(value);
+    record
 }
 
 /// When journal bytes are forced out of the page cache onto the disk.
@@ -278,6 +303,31 @@ impl Inner {
         self.fault_seq[slot] += 1;
         (injector.decide(op, seq, len), seq)
     }
+
+    /// Reads `key`'s live record at `loc` back from the journal and
+    /// returns its value, after checking that the bytes on disk are still
+    /// exactly the record that was appended — header, key, value and
+    /// checksum. Leaves the file position anywhere.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure, plus `InvalidData` when the record has rotted
+    /// since it was written (or recovered).
+    fn read_value(&mut self, key: &str, loc: ValueLoc) -> io::Result<Vec<u8>> {
+        let value_at = HEADER_LEN + key.len();
+        let mut record = vec![0u8; value_at + loc.len as usize];
+        self.file
+            .seek(SeekFrom::Start(loc.offset - value_at as u64))?;
+        self.file.read_exact(&mut record)?;
+        let value = record[value_at..].to_vec();
+        if record != encode_record(key, &value) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("the journal record for key {key:?} fails its checksum"),
+            ));
+        }
+        Ok(value)
+    }
 }
 
 /// A persistent content-addressed key/value store backed by one
@@ -435,11 +485,13 @@ impl Store {
         self.lock().index.contains_key(key)
     }
 
-    /// The latest value stored under `key`, read back from the journal.
+    /// The latest value stored under `key`, read back from the journal
+    /// and verified against its record checksum.
     ///
     /// # Errors
     ///
-    /// Any I/O failure reading the journal.
+    /// Any I/O failure reading the journal, plus `InvalidData` when the
+    /// record's bytes on disk no longer match its checksum.
     pub fn get(&self, key: &str) -> io::Result<Option<Vec<u8>>> {
         let mut inner = self.lock();
         let Some(loc) = inner.index.get(key).copied() else {
@@ -452,10 +504,8 @@ impl Store {
         {
             return Err(injected_error(StoreOp::Get, seq));
         }
-        let mut value = vec![0u8; loc.len as usize];
+        let value = inner.read_value(key, loc)?;
         let tail = inner.tail;
-        inner.file.seek(SeekFrom::Start(loc.offset))?;
-        inner.file.read_exact(&mut value)?;
         inner.file.seek(SeekFrom::Start(tail))?;
         Ok(Some(value))
     }
@@ -486,18 +536,7 @@ impl Store {
                 format!("value of {} bytes exceeds the format bound", value.len()),
             ));
         }
-        let mut record = Vec::with_capacity(HEADER_LEN + key.len() + value.len());
-        record.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        record.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        let mut sum = fnv1a_64(key.as_bytes());
-        for &b in value {
-            sum ^= u64::from(b);
-            sum = sum.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        record.extend_from_slice(&sum.to_le_bytes());
-        record.extend_from_slice(key.as_bytes());
-        record.extend_from_slice(value);
-
+        let record = encode_record(key, value);
         let mut inner = self.lock();
         let tail = inner.tail;
         let (action, seq) = inner.fault(StoreOp::Append, record.len());
@@ -539,11 +578,14 @@ impl Store {
     /// stable journal order), atomically: the compacted file is written
     /// beside the journal, synced, renamed over it, and the parent
     /// directory is fsynced (on Unix) so the rename itself survives a
-    /// power cut. Returns the bytes reclaimed.
+    /// power cut. Every live record is verified against its checksum
+    /// on the way, so compaction never launders a rotted value into a
+    /// freshly checksummed record. Returns the bytes reclaimed.
     ///
     /// # Errors
     ///
-    /// Any I/O failure; on error the original journal is untouched.
+    /// Any I/O failure, plus `InvalidData` when a live record no longer
+    /// matches its checksum; on error the original journal is untouched.
     pub fn compact(&self) -> io::Result<u64> {
         let mut inner = self.lock();
         if let (
@@ -566,20 +608,7 @@ impl Store {
         let mut new_index = HashMap::with_capacity(live.len());
         let mut tail = MAGIC.len() as u64;
         for (key, loc) in &live {
-            let mut value = vec![0u8; loc.len as usize];
-            inner.file.seek(SeekFrom::Start(loc.offset))?;
-            inner.file.read_exact(&mut value)?;
-            let mut record = Vec::with_capacity(HEADER_LEN + key.len() + value.len());
-            record.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            record.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            let mut sum = fnv1a_64(key.as_bytes());
-            for &b in &value {
-                sum ^= u64::from(b);
-                sum = sum.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            record.extend_from_slice(&sum.to_le_bytes());
-            record.extend_from_slice(key.as_bytes());
-            record.extend_from_slice(&value);
+            let record = encode_record(key, &inner.read_value(key, *loc)?);
             tmp.write_all(&record)?;
             new_index.insert(
                 key.clone(),
@@ -672,12 +701,7 @@ fn read_record(bytes: &[u8], at: usize) -> Option<(String, ValueLoc, usize)> {
     let end = val_start + val_len as usize;
     let key_bytes = bytes.get(key_start..val_start)?;
     let val_bytes = bytes.get(val_start..end)?;
-    let mut sum = fnv1a_64(key_bytes);
-    for &b in val_bytes {
-        sum ^= u64::from(b);
-        sum = sum.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    if sum != checksum {
+    if record_checksum(key_bytes, val_bytes) != checksum {
         return None;
     }
     let key = String::from_utf8(key_bytes.to_vec()).ok()?;
@@ -755,6 +779,52 @@ mod tests {
         assert_eq!(store.recovery().torn_bytes, 0);
         assert_eq!(store.get("post").unwrap().as_deref(), Some(&b"compact"[..]));
         assert_eq!(store.get("k").unwrap().as_deref(), Some(&b"new"[..]));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rotted_values_fail_reads_and_compaction() {
+        let dir = tmp_dir("rot");
+        let store = Store::open(&dir).unwrap();
+        store.append("k", b"{\"value\":1.5}").unwrap();
+        store.append("other", b"kept").unwrap();
+        // Rot one value byte through a second handle, after open; the
+        // value still decodes, so only the checksum can tell.
+        let journal = store.journal_path().to_path_buf();
+        let at = std::fs::read(&journal)
+            .unwrap()
+            .windows(3)
+            .position(|w| w == b"1.5")
+            .unwrap();
+        let mut rot = OpenOptions::new().write(true).open(&journal).unwrap();
+        rot.seek(SeekFrom::Start(at as u64)).unwrap();
+        rot.write_all(b"2").unwrap();
+        drop(rot);
+        let rotted = std::fs::read(&journal).unwrap();
+
+        assert_eq!(
+            store.get("k").unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(store.get("other").unwrap().as_deref(), Some(&b"kept"[..]));
+        assert_eq!(
+            store.compact().unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(
+            std::fs::read(&journal).unwrap(),
+            rotted,
+            "a failed compaction must leave the journal untouched"
+        );
+        // Re-appending supersedes the rotted record; compaction then
+        // drops it.
+        store.append("k", b"{\"value\":1.5}").unwrap();
+        store.compact().unwrap();
+        assert_eq!(
+            store.get("k").unwrap().as_deref(),
+            Some(&b"{\"value\":1.5}"[..])
+        );
+        assert_eq!(store.records(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
