@@ -17,6 +17,7 @@
 //! bang-bang, and the `baseline_suite` bench bin lines them up against
 //! the GCCO.
 
+use crate::engine::DeadlineGuard;
 use crate::error::GccoError;
 use gcco_core::{
     BangBangCdr, BangBangConfig, CdrArch, CdrTrace, FdBangBangCdr, GardnerCdr, GardnerConfig,
@@ -292,16 +293,6 @@ fn build_arch(arch: CdrArchKind, spec: &BaselineSpec, freq_offset: f64) -> Box<d
     }
 }
 
-fn track(arch: CdrArchKind, spec: &BaselineSpec, freq_offset: f64, sj_amp_pp: f64) -> CdrTrace {
-    let bits = Prbs::new(PrbsOrder::P7).take_bits(spec.bits as usize);
-    build_arch(arch, spec, freq_offset).track(
-        &bits,
-        spec.bit_rate(),
-        &spec.jitter(sj_amp_pp),
-        spec.seed,
-    )
-}
-
 fn summarize(trace: &CdrTrace) -> BaselineOut {
     BaselineOut {
         lock_bits: trace.lock_bits.map(|b| b as u64),
@@ -317,40 +308,67 @@ fn summarize(trace: &CdrTrace) -> BaselineOut {
 /// three significant digits on every bracket this API accepts.
 const BISECT_ITERS: u32 = 12;
 
+/// The largest `x` in `[0, hi]` that `passes`, for a property that only
+/// gets harder as `x` grows: `hi` itself when it passes, else
+/// [`BISECT_ITERS`] halvings of the bracket.
+fn bisect(hi: f64, passes: impl Fn(f64) -> Result<bool, GccoError>) -> Result<f64, GccoError> {
+    if passes(hi)? {
+        return Ok(hi);
+    }
+    let (mut lo, mut hi) = (0.0, hi);
+    for _ in 0..BISECT_ITERS {
+        let mid = 0.5 * (lo + hi);
+        if passes(mid)? {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(lo)
+}
+
 /// Evaluates one baseline request. Pure and deterministic in its inputs
 /// — the engine relies on that to journal responses under their cache
 /// keys and to shard suites across a cluster bit-identically.
 ///
 /// The spec and metric are assumed validated (the request boundary does
 /// that); garbage values yield garbage measurements, not panics.
+///
+/// # Errors
+///
+/// [`GccoError::DeadlineExceeded`] when `guard` trips before one of the
+/// tracking runs; a run that has started always finishes.
 pub fn run_baseline(
     arch: CdrArchKind,
     spec: &BaselineSpec,
     metric: &BaselineMetric,
-) -> BaselineOut {
+    guard: DeadlineGuard,
+) -> Result<BaselineOut, GccoError> {
+    // Every metric is a sequence of tracking runs; checking the guard
+    // before each one stops a bisection between two runs.
+    let track = |spec: &BaselineSpec, freq_offset: f64, sj_amp_pp: f64| {
+        guard.check()?;
+        let bits = Prbs::new(PrbsOrder::P7).take_bits(spec.bits as usize);
+        let cdr = build_arch(arch, spec, freq_offset);
+        Ok::<CdrTrace, GccoError>(cdr.track(
+            &bits,
+            spec.bit_rate(),
+            &spec.jitter(sj_amp_pp),
+            spec.seed,
+        ))
+    };
     match *metric {
-        BaselineMetric::Track => summarize(&track(arch, spec, spec.freq_offset, spec.sj_amp_pp)),
+        BaselineMetric::Track => Ok(summarize(&track(spec, spec.freq_offset, spec.sj_amp_pp)?)),
         BaselineMetric::CaptureRange { hi } => {
             // Bisect the largest locking offset in [0, hi], jitter-free:
             // capture is a monotone property for every loop here (more
             // offset never helps).
-            let locks = |offset: f64| track(arch, spec, offset, 0.0).lock_bits.is_some();
-            let (mut lo, mut hi) = (0.0, hi);
-            if locks(hi) {
-                lo = hi;
-            } else {
-                for _ in 0..BISECT_ITERS {
-                    let mid = 0.5 * (lo + hi);
-                    if locks(mid) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-            }
-            let mut out = summarize(&track(arch, spec, lo, 0.0));
+            let lo = bisect(hi, |offset| {
+                Ok(track(spec, offset, 0.0)?.lock_bits.is_some())
+            })?;
+            let mut out = summarize(&track(spec, lo, 0.0)?);
             out.capture_range = Some(lo);
-            out
+            Ok(out)
         }
         BaselineMetric::JtolPoint { freq_norm } => {
             // Bisect the largest SJ amplitude the loop tracks cleanly at
@@ -362,26 +380,12 @@ pub fn run_baseline(
                 sj_freq_norm: freq_norm,
                 ..*spec
             };
-            let ok = |amp: f64| {
-                let trace = track(arch, &probe, probe.freq_offset, amp);
-                trace.post_lock_errors() == Some(0)
-            };
-            let (mut lo, mut hi) = (0.0, 2.0);
-            if ok(hi) {
-                lo = hi;
-            } else {
-                for _ in 0..BISECT_ITERS {
-                    let mid = 0.5 * (lo + hi);
-                    if ok(mid) {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-            }
-            let mut out = summarize(&track(arch, &probe, probe.freq_offset, lo));
+            let lo = bisect(2.0, |amp| {
+                Ok(track(&probe, probe.freq_offset, amp)?.post_lock_errors() == Some(0))
+            })?;
+            let mut out = summarize(&track(&probe, probe.freq_offset, lo)?);
             out.jtol_amp_pp = Some(lo);
-            out
+            Ok(out)
         }
     }
 }
@@ -505,7 +509,13 @@ mod tests {
                 bits: 20_000,
                 ..BaselineSpec::typical(arch)
             };
-            let out = run_baseline(arch, &spec, &BaselineMetric::Track);
+            let out = run_baseline(
+                arch,
+                &spec,
+                &BaselineMetric::Track,
+                DeadlineGuard::unlimited(),
+            )
+            .unwrap();
             assert!(out.lock_bits.is_some(), "{arch:?}");
             assert!(out.residual_rms_ui.expect("locked") < 0.05, "{arch:?}");
             assert!(out.capture_range.is_none() && out.jtol_amp_pp.is_none());
@@ -519,12 +529,20 @@ mod tests {
             bits: 30_000,
             ..BaselineSpec::typical(arch)
         };
-        let bare = run_baseline(CdrArchKind::BangBang, &spec(CdrArchKind::BangBang), &metric);
+        let bare = run_baseline(
+            CdrArchKind::BangBang,
+            &spec(CdrArchKind::BangBang),
+            &metric,
+            DeadlineGuard::unlimited(),
+        )
+        .unwrap();
         let fd = run_baseline(
             CdrArchKind::BangBangFd,
             &spec(CdrArchKind::BangBangFd),
             &metric,
-        );
+            DeadlineGuard::unlimited(),
+        )
+        .unwrap();
         assert!(
             fd.capture_range.unwrap() > bare.capture_range.unwrap(),
             "fd {fd:?} vs bare {bare:?}"
@@ -539,10 +557,25 @@ mod tests {
             ..BaselineSpec::typical(arch)
         };
         let metric = BaselineMetric::JtolPoint { freq_norm: 0.01 };
-        let a = run_baseline(arch, &spec, &metric);
-        let b = run_baseline(arch, &spec, &metric);
+        let a = run_baseline(arch, &spec, &metric, DeadlineGuard::unlimited()).unwrap();
+        let b = run_baseline(arch, &spec, &metric, DeadlineGuard::unlimited()).unwrap();
         assert_eq!(a, b, "pure kernel must be deterministic");
         let amp = a.jtol_amp_pp.expect("jtol metric");
         assert!((0.0..=2.0).contains(&amp), "{amp}");
+    }
+
+    #[test]
+    fn a_deadline_stops_the_bisection_between_tracking_runs() {
+        // Up to 14 tracking runs of 100 kbit each: far longer than 20 ms,
+        // so the guard must trip at a check between two runs.
+        let arch = CdrArchKind::BangBang;
+        let err = run_baseline(
+            arch,
+            &BaselineSpec::typical(arch),
+            &BaselineMetric::JtolPoint { freq_norm: 0.01 },
+            DeadlineGuard::after_ms(20),
+        )
+        .expect_err("the bisection must stop at its deadline");
+        assert_eq!(err, GccoError::DeadlineExceeded { deadline_ms: 20 });
     }
 }

@@ -9,10 +9,11 @@
 //! `SweepContext::jtol_point`, `gcco_stat::ftol`,
 //! `gcco_noise::tradeoff_point`, …), so engine results are **bit-identical**
 //! to the direct calls — asserted by `tests/engine_parity.rs` and by the
-//! golden-output comparison of the rewired binaries. Deadline-enabled
-//! paths interleave checks *between* independent grid cells / curve
-//! points, never inside a kernel, so enabling a deadline changes when an
-//! evaluation may abort but never what it computes.
+//! golden-output comparison of the rewired binaries. Deadlines are checked
+//! *between* independent grid cells, curve points, scan points, lanes and
+//! baseline tracking runs, never inside a kernel, and with or without a
+//! deadline the same parallel map does the work, so a deadline changes
+//! when an evaluation may abort but never what it computes.
 //!
 //! # Caching
 //!
@@ -98,10 +99,6 @@ impl DeadlineGuard {
             Some(ms) => DeadlineGuard::after_ms(ms),
             None => DeadlineGuard::unlimited(),
         }
-    }
-
-    fn is_set(&self) -> bool {
-        self.deadline.is_some()
     }
 
     /// Fails once the deadline has passed.
@@ -340,15 +337,10 @@ impl Engine {
     /// [`GccoError::InvalidSpec`] when the spec does not validate.
     pub fn context_for(&self, spec: &ModelSpec) -> Result<Arc<SweepContext>, GccoError> {
         let key = spec.cache_key();
-        {
-            let mut cache = self.cache.lock().expect("cache lock poisoned");
-            if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-                let entry = cache.remove(pos);
-                let ctx = Arc::clone(&entry.1);
-                cache.insert(0, entry);
-                self.cache_hits.inc();
-                return Ok(ctx);
-            }
+        let warm = move_to_front(&mut self.cache.lock().expect("cache lock poisoned"), &key);
+        if let Some(ctx) = warm {
+            self.cache_hits.inc();
+            return Ok(ctx);
         }
         self.cache_misses.inc();
         // Build outside the lock: context construction convolves PDFs and
@@ -368,10 +360,7 @@ impl Engine {
         // the incumbent so all holders share one context (and don't count
         // the discarded duplicate, so `context_builds` reflects exactly
         // the contexts that entered the cache).
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-            let entry = cache.remove(pos);
-            let ctx = Arc::clone(&entry.1);
-            cache.insert(0, entry);
+        if let Some(ctx) = move_to_front(&mut cache, &key) {
             return Ok(ctx);
         }
         self.builds.fetch_add(1, Ordering::Relaxed);
@@ -436,6 +425,9 @@ impl Engine {
     /// leader's result by clone, which is bit-identical: `EvalResponse`
     /// holds plain `f64`s, and cloning copies bits.
     ///
+    /// This is the one place a client request is validated and keyed: the
+    /// key found here is the single-flight slot and the store key both.
+    ///
     /// Error semantics: validation runs *before* coalescing (an invalid
     /// request never occupies a slot), and every leader error — deadline
     /// trip included — propagates to followers as-is rather than leaving
@@ -466,7 +458,7 @@ impl Engine {
                 key: &key,
                 published: false,
             };
-            let result = self.dispatch_stored(req, guard);
+            let result = self.dispatch_stored(req, &key, guard).map(|(resp, _)| resp);
             lead.publish(result.clone());
             return result;
         };
@@ -485,11 +477,13 @@ impl Engine {
         }
     }
 
-    /// Dispatch through the persistent tier when one is attached: store
-    /// hit → parse and return the journaled response; miss → compute via
-    /// [`Engine::dispatch`], append, return. Validation and the deadline
-    /// run *before* the lookup, so attaching a store never changes which
-    /// requests are accepted — only whether they recompute.
+    /// Dispatch through the persistent tier when one is attached, under
+    /// the request's canonical `key`: store hit → parse and return the
+    /// journaled response; miss → compute via [`Engine::dispatch`],
+    /// append, return. The flag is `true` exactly when the store answered.
+    /// The deadline runs *before* the lookup (and validation before that,
+    /// in the caller), so attaching a store never changes which requests
+    /// are accepted — only whether they recompute.
     ///
     /// The store can only ever help: a failing lookup (I/O error, or a
     /// stored value that no longer parses) falls through to computation,
@@ -499,66 +493,58 @@ impl Engine {
     fn dispatch_stored(
         &self,
         req: &EvalRequest,
+        key: &str,
         guard: DeadlineGuard,
-    ) -> Result<EvalResponse, GccoError> {
-        // Optimizer responses are never journaled as one record: each of
-        // their probes is an ordinary ber_point sub-request that journals
-        // individually (which is exactly what makes a killed run
-        // resumable), and the report's `store_hits` is a run-local
-        // statistic that a stored blob would freeze into the cache.
-        if matches!(req, EvalRequest::Optimize { .. }) {
-            return self.dispatch(req, guard);
-        }
-        let Some(tier) = &self.store else {
-            return self.dispatch(req, guard);
-        };
-        req.validate()?;
+    ) -> Result<(EvalResponse, bool), GccoError> {
         guard.check()?;
-        let key = req.cache_key();
-        let mut store_failed = false;
-        match tier.store.get(&key) {
-            Ok(Some(bytes)) => match decode_stored(&bytes) {
-                Ok(resp) => {
-                    tier.hits.inc();
-                    return Ok(resp);
-                }
-                Err(_) => {
-                    // A checksummed journal should never hand back an
-                    // undecodable value; treat it like any other store
-                    // failure and recompute (the append below re-journals
-                    // a fresh value under the same key, healing it).
-                    tier.errors.inc();
-                    store_failed = true;
-                }
-            },
-            Ok(None) => tier.misses.inc(),
-            Err(_) => {
-                tier.errors.inc();
-                store_failed = true;
+        let tier = match &self.store {
+            // Optimizer responses are never journaled as one record: each
+            // of their probes is an ordinary ber_point sub-request that
+            // journals individually (which is exactly what makes a killed
+            // run resumable), and the report's `store_hits` is a run-local
+            // statistic that a stored blob would freeze into the cache.
+            Some(tier) if !matches!(req, EvalRequest::Optimize { .. }) => tier,
+            _ => return Ok((self.dispatch(req, guard)?, false)),
+        };
+        let mut degraded = match tier.store.get(key).map(|v| v.map(|b| decode_stored(&b))) {
+            Ok(Some(Ok(resp))) => {
+                tier.hits.inc();
+                return Ok((resp, true));
             }
-        }
+            Ok(None) => {
+                tier.misses.inc();
+                false
+            }
+            // A failed read, or a checksummed value that no longer
+            // decodes: recompute, and the append below re-journals a fresh
+            // value under the same key, healing it.
+            Ok(Some(Err(_))) | Err(_) => {
+                tier.errors.inc();
+                true
+            }
+        };
         let resp = self.dispatch(req, guard)?;
         match tier
             .store
-            .append(&key, crate::json::encode_response(&resp).as_bytes())
+            .append(key, crate::json::encode_response(&resp).as_bytes())
         {
             Ok(()) => tier.appends.inc(),
             Err(_) => {
                 tier.errors.inc();
-                store_failed = true;
+                degraded = true;
             }
         }
-        if store_failed {
+        if degraded {
             tier.degraded.inc();
         }
-        Ok(resp)
+        Ok((resp, false))
     }
 
     /// The uninstrumented dispatch body — kernels only, no metrics, so
     /// counting and timing provably cannot perturb a computed value.
+    /// The request arrives validated and its deadline checked once; arms
+    /// that build a context re-check after the build.
     fn dispatch(&self, req: &EvalRequest, guard: DeadlineGuard) -> Result<EvalResponse, GccoError> {
-        req.validate()?;
-        guard.check()?;
         match req {
             EvalRequest::BerPoint { spec, sj } => {
                 let ctx = self.context_for(spec)?;
@@ -574,20 +560,16 @@ impl Engine {
                 amps_pp,
                 freqs_norm,
             } => {
+                // The flattened cell list of `SweepContext::ber_grid`, cut
+                // back into rows of `freqs_norm.len()` (never 0: validated).
                 let ctx = self.context_for(spec)?;
-                guard.check()?;
-                let rows = if guard.is_set() {
-                    // Row-at-a-time with a check between rows: cells are
-                    // independent, so the values match the all-at-once map.
-                    let mut rows = Vec::with_capacity(amps_pp.len());
-                    for &a in amps_pp {
-                        guard.check()?;
-                        rows.push(ctx.map(freqs_norm, |_, &f| ctx.ber_at_sj(Ui::new(a), f)));
-                    }
-                    rows
-                } else {
-                    ctx.ber_grid(amps_pp, freqs_norm)
-                };
+                let cells: Vec<(f64, f64)> = amps_pp
+                    .iter()
+                    .flat_map(|&a| freqs_norm.iter().map(move |&f| (a, f)))
+                    .collect();
+                let flat =
+                    self.par_map(&cells, guard, |_, &(a, f)| Ok(ctx.ber_at_sj(Ui::new(a), f)))?;
+                let rows = flat.chunks(freqs_norm.len()).map(<[f64]>::to_vec).collect();
                 Ok(EvalResponse::Grid { rows })
             }
             EvalRequest::JtolCurve {
@@ -596,20 +578,9 @@ impl Engine {
                 target_ber,
             } => {
                 let ctx = self.context_for(spec)?;
-                guard.check()?;
-                let points = if guard.is_set() {
-                    let mut points = Vec::with_capacity(freqs_norm.len());
-                    for &f in freqs_norm {
-                        guard.check()?;
-                        points.push(ctx.jtol_point(f, *target_ber).into());
-                    }
-                    points
-                } else {
-                    ctx.jtol_curve(freqs_norm, *target_ber)
-                        .into_iter()
-                        .map(Into::into)
-                        .collect()
-                };
+                let points = self.par_map(freqs_norm, guard, |_, &f| {
+                    Ok(ctx.jtol_point(f, *target_ber).into())
+                })?;
                 Ok(EvalResponse::Jtol { points })
             }
             EvalRequest::FtolSearch { spec, target_ber } => {
@@ -619,41 +590,64 @@ impl Engine {
                 let value = gcco_stat::ftol(ctx.model(), *target_ber);
                 Ok(EvalResponse::Ftol { value })
             }
-            EvalRequest::PowerScan { scan } => {
-                guard.check()?;
-                Ok(self.power_scan(scan, guard)?)
-            }
-            EvalRequest::DsimRun { run } => {
-                guard.check()?;
-                Ok(EvalResponse::Dsim { run: dsim_run(run) })
-            }
-            EvalRequest::MultiChannel { mc } => {
-                guard.check()?;
-                self.multi_channel(mc, guard)
-            }
-            EvalRequest::Optimize { opt } => {
-                guard.check()?;
-                self.optimize(opt, guard)
-            }
+            EvalRequest::PowerScan { scan } => self.power_scan(scan, guard),
+            EvalRequest::DsimRun { run } => Ok(EvalResponse::Dsim { run: dsim_run(run) }),
+            EvalRequest::MultiChannel { mc } => self.multi_channel(mc, guard),
+            EvalRequest::Optimize { opt } => self.optimize(opt, guard),
             EvalRequest::Baseline { arch, spec, metric } => {
-                guard.check()?;
                 self.obs
                     .counter_with("gcco_baseline_runs_total", "arch", arch.wire_name())
                     .inc();
                 Ok(EvalResponse::Baseline {
-                    out: crate::baseline::run_baseline(*arch, spec, metric),
+                    out: crate::baseline::run_baseline(*arch, spec, metric, guard)?,
                 })
             }
         }
     }
 
+    /// [`par_map_grid`] over the engine's workers with a deadline check
+    /// before every item — the one map behind grids, curves, scans and
+    /// lanes. Items are independent and come back in input order, so a
+    /// deadline changes when a map may abort, never what it computes.
+    fn par_map<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        guard: DeadlineGuard,
+        f: impl Fn(usize, &T) -> Result<R, GccoError> + Sync,
+    ) -> Result<Vec<R>, GccoError> {
+        par_map_grid(items, self.workers, |i, item| {
+            guard.check()?;
+            f(i, item)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// Evaluates the BER of `spec` as a [`EvalRequest::BerPoint`]
+    /// sub-request **through [`Engine::dispatch_stored`]** — the one probe
+    /// behind optimizer probes and multi-channel lanes, so with a store
+    /// attached each is journaled under its own canonical key. Returns the
+    /// BER and whether the store answered it. The spec is validated where
+    /// it was derived, and `ModelSpec::build` checks it again before any
+    /// computation.
+    fn probe_ber(&self, spec: &ModelSpec, guard: DeadlineGuard) -> Result<(f64, bool), GccoError> {
+        let sub = EvalRequest::ber_point(spec.clone());
+        match self.dispatch_stored(&sub, &sub.cache_key(), guard)? {
+            (EvalResponse::Scalar { value }, from_store) => Ok((value, from_store)),
+            // Only reachable if a store journaled a non-scalar value under
+            // a ber_point key — corruption, not a client mistake.
+            (other, _) => Err(GccoError::Io(format!(
+                "stored ber_point value has kind \"{}\"",
+                other.kind()
+            ))),
+        }
+    }
+
     /// Runs the design-space optimizer with this engine as the probe
-    /// oracle: every probe the deterministic search asks for is evaluated
-    /// **through [`Engine::dispatch_stored`] as a
-    /// [`EvalRequest::BerPoint`] sub-request**, so with a store attached
-    /// each probe is journaled under its own canonical key — a killed run
-    /// re-probes from disk, a warm store answers the whole search without
-    /// recomputing, and a router can shard the very same probes.
+    /// oracle: every probe the deterministic search asks for is one
+    /// [`Engine::probe_ber`], so a killed run re-probes from disk, a warm
+    /// store answers the whole search without recomputing, and a router
+    /// can shard the very same probes.
     fn optimize(
         &self,
         opt: &OptimizeSpec,
@@ -671,27 +665,13 @@ impl Engine {
                 specs
                     .iter()
                     .map(|probe| {
-                        self.guard.check()?;
-                        let sub = EvalRequest::BerPoint {
-                            spec: probe.clone(),
-                            sj: None,
-                        };
-                        // Count this run's warm starts before dispatching:
-                        // the tier's own hit counter is cumulative across
-                        // the engine's lifetime, while the report wants
-                        // the per-run ratio.
-                        if let Some(tier) = &self.engine.store {
-                            if tier.store.contains(&sub.cache_key()) {
-                                self.hits += 1;
-                            }
-                        }
-                        match self.engine.dispatch_stored(&sub, self.guard)? {
-                            EvalResponse::Scalar { value } => Ok(value),
-                            other => Err(GccoError::Io(format!(
-                                "stored ber_point value has kind \"{}\"",
-                                other.kind()
-                            ))),
-                        }
+                        // This run's warm starts, counted as the store
+                        // answers them: the tier's own hit counter is
+                        // cumulative across the engine's lifetime, while
+                        // the report wants the per-run ratio.
+                        let (ber, from_store) = self.engine.probe_ber(probe, self.guard)?;
+                        self.hits += u64::from(from_store);
+                        Ok(ber)
                     })
                     .collect()
             }
@@ -721,60 +701,26 @@ impl Engine {
         Ok(EvalResponse::Optimize { out })
     }
 
-    /// Evaluates a multi-channel scenario: every lane's BER is computed
-    /// **through [`Engine::dispatch_stored`] as a [`EvalRequest::BerPoint`]
-    /// sub-request**, so with a store attached each lane is journaled
-    /// under its own canonical key and a campaign killed mid-group
-    /// resumes from the finished lanes; settling time is the closed-form
-    /// [`settling_time_ui`] on the lane's model (no context needed, so a
-    /// fully warm replay builds nothing).
-    ///
-    /// Lanes are independent, so the parallel fan-out and the
-    /// deadline-guarded serial loop produce bit-identical lane vectors —
-    /// `par_map_grid` returns results in input order.
+    /// Evaluates a multi-channel scenario: every lane's BER is one
+    /// [`Engine::probe_ber`], so with a store attached a campaign killed
+    /// mid-group resumes from the finished lanes; settling time is the
+    /// closed-form [`settling_time_ui`] on the lane's model (no context
+    /// needed, so a fully warm replay builds nothing). Lanes go through
+    /// [`Engine::par_map`], so the lane vector does not depend on worker
+    /// count or deadline.
     fn multi_channel(
         &self,
         mc: &MultiChannelSpec,
         guard: DeadlineGuard,
     ) -> Result<EvalResponse, GccoError> {
-        let specs = mc.channel_specs();
-        let eval_channel = |i: usize, lane: &ModelSpec| -> Result<ChannelOut, GccoError> {
-            let sub = EvalRequest::BerPoint {
-                spec: lane.clone(),
-                sj: None,
-            };
-            let ber = match self.dispatch_stored(&sub, guard)? {
-                EvalResponse::Scalar { value } => value,
-                other => {
-                    // Only reachable if a store journaled a non-scalar
-                    // value under a ber_point key — corruption, not a
-                    // client mistake.
-                    return Err(GccoError::Io(format!(
-                        "channel {i}: stored ber_point value has kind \"{}\"",
-                        other.kind()
-                    )));
-                }
-            };
-            let settling_ui = settling_time_ui(&lane.build()?);
+        let channels = self.par_map(&mc.channel_specs(), guard, |i, lane| {
             Ok(ChannelOut {
                 index: i as u32,
                 freq_offset: lane.freq_offset,
-                ber,
-                settling_ui,
+                ber: self.probe_ber(lane, guard)?.0,
+                settling_ui: settling_time_ui(&lane.build()?),
             })
-        };
-        let channels: Vec<ChannelOut> = if guard.is_set() {
-            let mut out = Vec::with_capacity(specs.len());
-            for (i, lane) in specs.iter().enumerate() {
-                guard.check()?;
-                out.push(eval_channel(i, lane)?);
-            }
-            out
-        } else {
-            par_map_grid(&specs, self.workers, |i, lane| eval_channel(i, lane))
-                .into_iter()
-                .collect::<Result<Vec<_>, GccoError>>()?
-        };
+        })?;
         let worst_ber = channels.iter().map(|c| c.ber).fold(0.0_f64, f64::max);
         let passing = channels.iter().filter(|c| c.ber <= mc.target_ber).count();
         let yield_pct = 100.0 * passing as f64 / channels.len() as f64;
@@ -823,7 +769,6 @@ impl Engine {
             swing_v: scan.swing_v,
             delay_fs: design_delay.fs(),
         });
-        guard.check()?;
         let grid = iss_log_grid(
             (
                 Current::from_microamps(scan.iss_min_ua),
@@ -831,27 +776,27 @@ impl Engine {
             ),
             scan.steps as usize,
         );
-        let point = |iss: Current| tradeoff_point(pn, swing, f_ring, scan.n_stages, scan.cid, iss);
-        let raw = if guard.is_set() {
-            let mut raw = Vec::with_capacity(grid.len());
-            for &iss in &grid {
-                guard.check()?;
-                raw.push(point(iss));
-            }
-            raw
-        } else {
-            par_map_grid(&grid, self.workers, |_, &iss| point(iss))
-        };
-        let points = raw
-            .into_iter()
-            .map(|p| PowerPointOut {
+        let points = self.par_map(&grid, guard, |_, &iss| {
+            let p = tradeoff_point(pn, swing, f_ring, scan.n_stages, scan.cid, iss);
+            Ok(PowerPointOut {
                 iss_a: p.iss.amps(),
                 ring_power_mw: p.ring_power.milliwatts(),
                 sigma_ui: p.sigma_ui,
             })
-            .collect();
+        })?;
         Ok(EvalResponse::Power { sized, points })
     }
+}
+
+/// Moves `key`'s entry to the front of an MRU-ordered context list and
+/// returns its context, or `None` when the key is not cached.
+fn move_to_front(
+    cache: &mut [(String, Arc<SweepContext>)],
+    key: &str,
+) -> Option<Arc<SweepContext>> {
+    let pos = cache.iter().position(|(k, _)| k == key)?;
+    cache[..=pos].rotate_right(1);
+    Some(Arc::clone(&cache[0].1))
 }
 
 /// Decodes one journaled wire-codec response.
@@ -925,6 +870,7 @@ fn dsim_run(run: &DsimRunSpec) -> DsimRunOut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{BaselineMetric, BaselineSpec, CdrArchKind};
     use crate::request::SjOverride;
 
     #[test]
@@ -1043,19 +989,65 @@ mod tests {
     #[test]
     fn deadline_path_matches_unlimited_path() {
         let engine = Engine::with_config(EngineConfig {
-            cache_capacity: 2,
+            cache_capacity: 8,
             workers: Some(2),
         });
-        let req = EvalRequest::BerGrid {
-            spec: ModelSpec::paper_table1(),
-            amps_pp: vec![0.2, 0.8],
-            freqs_norm: vec![0.01, 0.1, 0.4],
+        let bang_bang = CdrArchKind::BangBang;
+        let baseline = BaselineSpec {
+            bits: 20_000,
+            ..BaselineSpec::typical(bang_bang)
         };
-        let free = engine.evaluate(&req).unwrap();
-        let timed = engine
-            .evaluate_with_deadline(&req, DeadlineGuard::after_ms(600_000))
-            .unwrap();
-        assert_eq!(free, timed, "deadline checks must not change values");
+        let requests = [
+            EvalRequest::BerGrid {
+                spec: ModelSpec::paper_table1(),
+                amps_pp: vec![0.2, 0.8],
+                freqs_norm: vec![0.01, 0.1, 0.4],
+            },
+            EvalRequest::JtolCurve {
+                spec: ModelSpec::paper_table1(),
+                freqs_norm: vec![0.01, 0.1],
+                target_ber: 1e-12,
+            },
+            EvalRequest::PowerScan {
+                scan: PowerScanSpec::paper_design(),
+            },
+            EvalRequest::MultiChannel {
+                mc: MultiChannelSpec {
+                    channels: 2,
+                    ..MultiChannelSpec::paper_quad()
+                },
+            },
+            EvalRequest::baseline(bang_bang, baseline, BaselineMetric::Track),
+            EvalRequest::baseline(
+                bang_bang,
+                baseline,
+                BaselineMetric::CaptureRange { hi: 0.1 },
+            ),
+            EvalRequest::baseline(
+                bang_bang,
+                baseline,
+                BaselineMetric::JtolPoint { freq_norm: 0.01 },
+            ),
+        ];
+        for (i, req) in requests.iter().enumerate() {
+            let what = format!("request {i} ({})", req.kind());
+            let free = engine.evaluate(req).unwrap();
+            let timed = engine
+                .evaluate_with_deadline(req, DeadlineGuard::after_ms(600_000))
+                .unwrap();
+            assert_eq!(
+                free, timed,
+                "{what}: deadline checks must not change values"
+            );
+            let err = engine
+                .evaluate_with_deadline(req, DeadlineGuard::after_ms(0))
+                .expect_err("zero deadline must trip");
+            assert_eq!(
+                err,
+                GccoError::DeadlineExceeded { deadline_ms: 0 },
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -1380,6 +1372,46 @@ mod tests {
         assert_eq!(warm.per_combo, cold.per_combo);
         assert_eq!(warm.probes, cold.probes);
         assert_eq!(warm.converged, cold.converged);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn optimize_counts_a_failed_store_read_as_a_recompute_not_a_hit() {
+        use gcco_faults::{ScriptedFaults, When};
+        use gcco_store::StoreConfig;
+
+        let dir = std::env::temp_dir().join(format!(
+            "gcco-engine-opt-failed-get-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let req = EvalRequest::Optimize {
+            opt: OptimizeSpec::quick_flow(),
+        };
+        let engine = |store: Store| {
+            Engine::with_config(EngineConfig {
+                cache_capacity: 8,
+                workers: Some(1),
+            })
+            .with_store(Arc::new(store))
+        };
+        // Journal every probe, then replay with the first value read
+        // failing: that probe recomputes, the other 23 are store hits.
+        engine(Store::open(&dir).unwrap()).evaluate(&req).unwrap();
+        let faults = ScriptedFaults::new().fail_get(When::Nth(0));
+        let warm = engine(
+            Store::open_with(&dir, StoreConfig::default().with_faults(Box::new(faults))).unwrap(),
+        );
+        let EvalResponse::Optimize { out } = warm.evaluate(&req).unwrap() else {
+            panic!("unexpected response shape");
+        };
+        let counter = |name: &str| warm.obs().counter(name).get();
+        assert_eq!(out.store_hits, out.probes - 1);
+        assert_eq!(out.store_hits, 23);
+        assert_eq!(counter("gcco_opt_store_hits_total"), 23);
+        assert_eq!(counter("gcco_store_hits_total"), 23);
+        assert_eq!(counter("gcco_store_degraded_total"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
