@@ -13,15 +13,16 @@
 //! This is the quantitative backing for the paper's §1 dismissal of
 //! "popular PLL, DLL or phase interpolation techniques": the same
 //! request shape measures the bang-bang loop, the Mueller&Müller and
-//! Gardner sample-domain loops, and the semi-rotational-FD-assisted
-//! bang-bang, and the `baseline_suite` bench bin lines them up against
-//! the GCCO.
+//! Gardner sample-domain loops, the semi-rotational-FD-assisted
+//! bang-bang and the phase-interpolator loop, and the `baseline_suite`
+//! bench bin lines them up against the GCCO.
 
 use crate::engine::DeadlineGuard;
 use crate::error::GccoError;
+use crate::request::check_bit_rate_gbps;
 use gcco_core::{
     BangBangCdr, BangBangConfig, CdrArch, CdrTrace, FdBangBangCdr, GardnerCdr, GardnerConfig,
-    MmCdr, MmConfig, SemiRotFdConfig,
+    MmCdr, MmConfig, PhaseInterpCdr, PiConfig, SemiRotFdConfig,
 };
 use gcco_signal::{JitterConfig, Prbs, PrbsOrder, SinusoidalJitter};
 use gcco_units::{Freq, Ui};
@@ -38,15 +39,19 @@ pub enum CdrArchKind {
     /// The bang-bang loop with a semi-rotational frequency-detection
     /// acquisition stage.
     BangBangFd,
+    /// The phase-interpolator loop: a decimated bang-bang update steering
+    /// a finite-step interpolator.
+    PhaseInterp,
 }
 
 impl CdrArchKind {
     /// Every architecture, in wire order.
-    pub const ALL: [CdrArchKind; 4] = [
+    pub const ALL: [CdrArchKind; 5] = [
         CdrArchKind::BangBang,
         CdrArchKind::MuellerMuller,
         CdrArchKind::Gardner,
         CdrArchKind::BangBangFd,
+        CdrArchKind::PhaseInterp,
     ];
 
     /// Stable wire name (also the obs counter label).
@@ -56,6 +61,7 @@ impl CdrArchKind {
             CdrArchKind::MuellerMuller => "mueller_muller",
             CdrArchKind::Gardner => "gardner",
             CdrArchKind::BangBangFd => "bang_bang_fd",
+            CdrArchKind::PhaseInterp => "phase_interp",
         }
     }
 
@@ -71,6 +77,7 @@ impl CdrArchKind {
             CdrArchKind::MuellerMuller => 'm',
             CdrArchKind::Gardner => 'g',
             CdrArchKind::BangBangFd => 'f',
+            CdrArchKind::PhaseInterp => 'p',
         }
     }
 }
@@ -81,8 +88,11 @@ impl CdrArchKind {
 /// `kp`/`ki` are the proportional and integral loop gains in each
 /// architecture's native currency: UI per transition for the bang-bang
 /// family, TED gain for the sample-domain loops (where the conventional
-/// design point is `kp = 0.05`, `ki = 0.25·kp²`). The sample-domain
-/// loops' period clamp is fixed at their typical ±2 %.
+/// design point is `kp = 0.05`, `ki = 0.25·kp²`), and the interpolator
+/// step in UI for the phase-interpolator loop, which has no integral
+/// path (`ki` must be 0) and needs at least 4 steps per UI
+/// (`kp <= 0.25`). The sample-domain loops' period clamp is fixed at
+/// their typical ±2 %, the phase interpolator's decimation at 8.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BaselineSpec {
     /// PRBS7 bits to track.
@@ -109,11 +119,13 @@ impl BaselineSpec {
     /// The architecture's conventional design point tracking a clean
     /// 2.5 Gbit/s stream for 100 kbit: bang-bang family at
     /// `kp = 0.01, ki = kp/256`, sample-domain loops at
-    /// `kp = 0.05, ki = 0.25·kp²`.
+    /// `kp = 0.05, ki = 0.25·kp²`, the phase interpolator at a 1/64 UI
+    /// step.
     pub fn typical(arch: CdrArchKind) -> BaselineSpec {
         let (kp, ki) = match arch {
             CdrArchKind::BangBang | CdrArchKind::BangBangFd => (0.01, 0.01 / 256.0),
             CdrArchKind::MuellerMuller | CdrArchKind::Gardner => (0.05, 0.25 * 0.05 * 0.05),
+            CdrArchKind::PhaseInterp => (PiConfig::typical().step_ui, 0.0),
         };
         BaselineSpec {
             bits: 100_000,
@@ -128,7 +140,9 @@ impl BaselineSpec {
         }
     }
 
-    /// Validates every field, returning the first offence.
+    /// Validates every field against the ranges all architectures share,
+    /// returning the first offence. The request boundary adds the rules
+    /// of the requested architecture.
     pub fn validate(&self) -> Result<(), GccoError> {
         let bad = |msg: String| Err(GccoError::InvalidSpec(msg));
         if !(1_000..=5_000_000).contains(&self.bits) {
@@ -137,12 +151,7 @@ impl BaselineSpec {
                 self.bits
             ));
         }
-        if !(self.bit_rate_gbps.is_finite() && self.bit_rate_gbps > 0.0) {
-            return bad(format!(
-                "bit_rate_gbps must be positive and finite, got {}",
-                self.bit_rate_gbps
-            ));
-        }
+        check_bit_rate_gbps(self.bit_rate_gbps)?;
         if !(self.freq_offset.is_finite() && self.freq_offset.abs() <= 0.2) {
             return bad(format!(
                 "freq_offset must be finite with |x| <= 0.2, got {}",
@@ -172,6 +181,29 @@ impl BaselineSpec {
                 "rj_rms_ui must be in [0, 0.2], got {}",
                 self.rj_rms_ui
             ));
+        }
+        Ok(())
+    }
+
+    /// [`BaselineSpec::validate`] plus the rules of `arch`: the phase
+    /// interpolator has no integral path, so a nonzero `ki` would give two
+    /// keys one answer, and its step `kp` must leave at least 4 steps per
+    /// UI.
+    pub(crate) fn validate_for(&self, arch: CdrArchKind) -> Result<(), GccoError> {
+        self.validate()?;
+        if arch == CdrArchKind::PhaseInterp {
+            if self.ki != 0.0 {
+                return Err(GccoError::InvalidSpec(format!(
+                    "ki must be 0 for phase_interp (no integral path), got {}",
+                    self.ki
+                )));
+            }
+            if self.kp > 0.25 {
+                return Err(GccoError::InvalidSpec(format!(
+                    "kp (the interpolator step) must be at most 0.25 UI for phase_interp, got {}",
+                    self.kp
+                )));
+            }
         }
         Ok(())
     }
@@ -290,6 +322,10 @@ fn build_arch(arch: CdrArchKind, spec: &BaselineSpec, freq_offset: f64) -> Box<d
                 freq_offset,
             },
         )),
+        CdrArchKind::PhaseInterp => Box::new(PhaseInterpCdr::new(PiConfig {
+            step_ui: spec.kp,
+            freq_offset,
+        })),
     }
 }
 
@@ -331,8 +367,10 @@ fn bisect(hi: f64, passes: impl Fn(f64) -> Result<bool, GccoError>) -> Result<f6
 /// — the engine relies on that to journal responses under their cache
 /// keys and to shard suites across a cluster bit-identically.
 ///
-/// The spec and metric are assumed validated (the request boundary does
-/// that); garbage values yield garbage measurements, not panics.
+/// The spec and metric are assumed validated (the request boundary,
+/// [`crate::EvalRequest::validate`], does that): an out-of-range rate or
+/// interpolator step panics in the unit conversions or the loop's
+/// constructor.
 ///
 /// # Errors
 ///
@@ -432,6 +470,20 @@ mod tests {
                 },
             ),
             (
+                "bit_rate_gbps",
+                BaselineSpec {
+                    bit_rate_gbps: 1e300,
+                    ..base
+                },
+            ),
+            (
+                "bit_rate_gbps",
+                BaselineSpec {
+                    bit_rate_gbps: 1e-300,
+                    ..base
+                },
+            ),
+            (
                 "freq_offset",
                 BaselineSpec {
                     freq_offset: f64::INFINITY,
@@ -486,6 +538,19 @@ mod tests {
         ];
         for (field, spec) in cases {
             let err = spec.validate().expect_err(field);
+            assert_eq!(err.kind(), "invalid_spec", "{field}");
+            assert!(err.detail().contains(field), "{field}: {}", err.detail());
+        }
+        // The phase interpolator's own rules: no integral path, and at
+        // least 4 steps per UI (its constructor would panic otherwise).
+        let arch = CdrArchKind::PhaseInterp;
+        let pi = BaselineSpec::typical(arch);
+        for (field, spec) in [
+            ("ki", BaselineSpec { ki: 1e-6, ..pi }),
+            ("kp", BaselineSpec { kp: 0.26, ..pi }),
+        ] {
+            assert!(spec.validate().is_ok(), "{field}: shared ranges accept it");
+            let err = spec.validate_for(arch).expect_err(field);
             assert_eq!(err.kind(), "invalid_spec", "{field}");
             assert!(err.detail().contains(field), "{field}: {}", err.detail());
         }

@@ -1141,6 +1141,57 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_rates_and_stage_delays_are_rejected_not_panics() {
+        // Each value used to pass validation and then panic a worker in a
+        // frequency or time conversion (or the gate model).
+        let mut cases: Vec<(&str, EvalRequest)> = Vec::new();
+        for rate in [1e300, 1e-300] {
+            let arch = CdrArchKind::BangBang;
+            let spec = BaselineSpec {
+                bit_rate_gbps: rate,
+                ..BaselineSpec::typical(arch)
+            };
+            cases.push((
+                "bit_rate_gbps",
+                EvalRequest::baseline(arch, spec, BaselineMetric::Track),
+            ));
+            let mc = MultiChannelSpec {
+                bit_rate_gbps: rate,
+                ..MultiChannelSpec::paper_quad()
+            };
+            cases.push(("bit_rate_gbps", EvalRequest::multi_channel(mc)));
+            let scan = PowerScanSpec {
+                bit_rate_gbps: rate,
+                ..PowerScanSpec::paper_design()
+            };
+            cases.push(("bit_rate_gbps", EvalRequest::power_scan(scan)));
+            let opt = OptimizeSpec {
+                bit_rate_gbps: rate,
+                ..OptimizeSpec::paper_flow()
+            };
+            cases.push(("bit_rate_gbps", EvalRequest::optimize(opt)));
+        }
+        for stage_delay_ps in [1e30, 1e-6] {
+            let run = DsimRunSpec {
+                stage_delay_ps,
+                ..DsimRunSpec::paper_ring()
+            };
+            cases.push(("stage_delay_ps", EvalRequest::dsim_run(run)));
+        }
+        let engine = Engine::with_config(EngineConfig {
+            cache_capacity: 2,
+            workers: Some(1),
+        });
+        for (field, req) in cases {
+            let err = req.validate().expect_err(field);
+            assert_eq!(err.kind(), "invalid_spec", "{field}");
+            assert!(err.detail().contains(field), "{field}: {}", err.detail());
+            let err = engine.evaluate(&req).expect_err(field);
+            assert_eq!(err.kind(), "invalid_spec", "{field}");
+        }
+    }
+
+    #[test]
     fn dsim_ring_oscillates_at_the_expected_period() {
         let engine = Engine::new();
         let resp = engine

@@ -13,6 +13,7 @@
 //! exact same probe sequence, because the search itself is deterministic.
 
 use crate::error::GccoError;
+use crate::request::check_bit_rate_gbps;
 use crate::spec::{ModelSpec, RunDistSpec};
 use gcco_noise::PAPER_MW_PER_GBPS_BUDGET;
 use gcco_opt::{Combo, DesignSearch, PowerModel, ProbePoint, SearchOutcome, SearchStep};
@@ -185,16 +186,13 @@ impl OptimizeSpec {
                 self.target_ber
             )));
         }
-        for (name, v) in [
-            ("budget_mw_per_gbps", self.budget_mw_per_gbps),
-            ("bit_rate_gbps", self.bit_rate_gbps),
-        ] {
-            if !(v > 0.0 && v.is_finite()) {
-                return Err(GccoError::InvalidSpec(format!(
-                    "{name} must be a positive finite number, got {v}"
-                )));
-            }
+        if !(self.budget_mw_per_gbps > 0.0 && self.budget_mw_per_gbps.is_finite()) {
+            return Err(GccoError::InvalidSpec(format!(
+                "budget_mw_per_gbps must be a positive finite number, got {}",
+                self.budget_mw_per_gbps
+            )));
         }
+        check_bit_rate_gbps(self.bit_rate_gbps)?;
         if !(self.ckj_lo > 0.0 && self.ckj_lo < self.ckj_hi && self.ckj_hi.is_finite()) {
             return Err(GccoError::InvalidSpec(format!(
                 "jitter bracket needs 0 < ckj_lo < ckj_hi, got [{}, {}]",

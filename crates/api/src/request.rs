@@ -9,6 +9,22 @@ use gcco_faults::SplitMix64;
 use gcco_noise::compose_ripple_jitter;
 use gcco_stat::{q_inverse, SamplingTap};
 
+/// The data rates, in Gbit/s, every request kind with a `bit_rate_gbps`
+/// field accepts. Far outside this range the frequency and time unit
+/// conversions overflow, and a serve worker would panic.
+const BIT_RATE_GBPS: std::ops::RangeInclusive<f64> = 0.001..=1000.0;
+
+/// Checks a `bit_rate_gbps` field: one shared range for every request kind.
+pub(crate) fn check_bit_rate_gbps(v: f64) -> Result<(), GccoError> {
+    if BIT_RATE_GBPS.contains(&v) {
+        Ok(())
+    } else {
+        Err(GccoError::InvalidSpec(format!(
+            "bit_rate_gbps must lie in [0.001, 1000], got {v:?}"
+        )))
+    }
+}
+
 /// An explicit sinusoidal-jitter override for a single BER point: the BER
 /// is evaluated as if the spec's SJ were `(amplitude_pp, freq_norm)`,
 /// without rebuilding (or re-keying) the model — exactly the
@@ -66,8 +82,8 @@ impl PowerScanSpec {
     }
 
     pub(crate) fn validate(&self) -> Result<(), GccoError> {
+        check_bit_rate_gbps(self.bit_rate_gbps)?;
         let positives = [
-            ("bit_rate_gbps", self.bit_rate_gbps),
             ("swing_v", self.swing_v),
             ("eta", self.eta),
             ("sigma_ui_target", self.sigma_ui_target),
@@ -141,9 +157,11 @@ impl DsimRunSpec {
                 self.stages
             )));
         }
-        if !(self.stage_delay_ps > 0.0 && self.stage_delay_ps.is_finite()) {
+        // Outside this range the delay's femtosecond conversion or the
+        // gate model panics.
+        if !(0.001..=1e6).contains(&self.stage_delay_ps) {
             return Err(GccoError::InvalidSpec(format!(
-                "stage_delay_ps must be positive and finite, got {}",
+                "stage_delay_ps must lie in [0.001, 1e6], got {:?}",
                 self.stage_delay_ps
             )));
         }
@@ -259,12 +277,7 @@ impl MultiChannelSpec {
                 self.ripple_rms_ui
             )));
         }
-        if !(self.bit_rate_gbps > 0.0 && self.bit_rate_gbps.is_finite()) {
-            return Err(GccoError::InvalidSpec(format!(
-                "bit_rate_gbps must be a positive finite number, got {}",
-                self.bit_rate_gbps
-            )));
-        }
+        check_bit_rate_gbps(self.bit_rate_gbps)?;
         if !(self.target_ber > 0.0 && self.target_ber < 1.0) {
             return Err(GccoError::InvalidSpec(format!(
                 "target_ber must lie in (0, 1), got {}",
@@ -684,8 +697,8 @@ impl EvalRequest {
             // already covered; harmless, and it keeps OptimizeSpec
             // self-contained for non-request callers.
             EvalRequest::Optimize { opt } => opt.validate(),
-            EvalRequest::Baseline { spec, metric, .. } => {
-                spec.validate()?;
+            EvalRequest::Baseline { arch, spec, metric } => {
+                spec.validate_for(*arch)?;
                 metric.validate()
             }
         }

@@ -104,8 +104,11 @@ impl Lcg {
         }
     }
 
+    /// One of the first four architectures. The pinned corpus predates
+    /// `phase_interp` (appended fifth), and a draw over all five would
+    /// change it; `json.rs`'s own round-trip test covers every arch.
     fn arch(&mut self) -> CdrArchKind {
-        CdrArchKind::ALL[self.below(CdrArchKind::ALL.len() as u64) as usize]
+        CdrArchKind::ALL[self.below(4) as usize]
     }
 
     fn request(&mut self) -> EvalRequest {

@@ -338,6 +338,14 @@ fn pinned_requests() -> Vec<(EvalRequest, u64)> {
             ),
             0x5701_3dbd_cd57_1482,
         ),
+        (
+            EvalRequest::baseline(
+                CdrArchKind::PhaseInterp,
+                BaselineSpec::typical(CdrArchKind::PhaseInterp),
+                BaselineMetric::Track,
+            ),
+            0x3a9a_9b21_9db8_cb98,
+        ),
     ]
 }
 

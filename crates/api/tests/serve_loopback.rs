@@ -7,7 +7,8 @@ use gcco_api::serve::{
     client_roundtrip, send_shutdown, serve, submit_batch, LineConnection, ServeConfig,
 };
 use gcco_api::{
-    DsimRunSpec, Engine, EvalRequest, EvalResponse, ModelSpec, PowerScanSpec, SjOverride,
+    BaselineMetric, BaselineSpec, CdrArchKind, DsimRunSpec, Engine, EvalRequest, EvalResponse,
+    ModelSpec, PowerScanSpec, SjOverride,
 };
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -204,6 +205,44 @@ fn overflow_gets_queue_full_and_malformed_lines_get_parse_errors() {
     assert!(err[0].starts_with("{\"err\":"), "{}", err[0]);
     assert!(!err[0].contains("\"id\""), "{}", err[0]);
     assert!(err[0].contains("frobnicate"), "{}", err[0]);
+    handle.shutdown();
+}
+
+/// Regression: a bit rate of 1e300 Gbit/s used to pass validation and
+/// panic the worker in its frequency conversion, so the line was never
+/// answered, and with one worker no later line was either.
+#[test]
+fn an_out_of_range_rate_is_refused_and_the_worker_keeps_serving() {
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let handle = serve(&config, Engine::new()).expect("bind loopback");
+    let addr = handle.local_addr();
+    let timeout = Duration::from_secs(20);
+    let arch = CdrArchKind::BangBang;
+    let track = |id: u64, bit_rate_gbps: f64| Envelope {
+        id,
+        v: Some(PROTOCOL_VERSION),
+        deadline_ms: None,
+        request: EvalRequest::baseline(
+            arch,
+            BaselineSpec {
+                bits: 1_000,
+                bit_rate_gbps,
+                ..BaselineSpec::typical(arch)
+            },
+            BaselineMetric::Track,
+        ),
+    };
+
+    let bad = submit_batch(&addr, &[track(1, 1e300)], timeout).expect("the bad line is answered");
+    let (kind, detail) = bad[0].result.clone().expect_err("1e300 Gbit/s is refused");
+    assert_eq!(kind, "invalid_spec");
+    assert!(detail.contains("bit_rate_gbps"), "{detail}");
+
+    let good = submit_batch(&addr, &[track(2, 2.5)], timeout).expect("the next line is answered");
+    assert!(good[0].result.is_ok(), "{:?}", good[0].result);
     handle.shutdown();
 }
 

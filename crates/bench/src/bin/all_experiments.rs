@@ -30,7 +30,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig18",
     "power_budget",
     "ftol",
-    "baselines",
     "baseline_suite",
     "jitter_transfer",
     "temperature",
@@ -94,5 +93,29 @@ fn main() {
     if !failures.is_empty() {
         eprintln!("failed: {failures:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+    use std::collections::BTreeSet;
+
+    /// The runner list is every binary in `src/bin` except the runner
+    /// itself and the timing snapshot: a stale or missing name would
+    /// otherwise surface only at run time, as a SKIP or an absent row.
+    #[test]
+    fn experiments_are_exactly_the_experiment_binaries() {
+        let bin_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let bins: BTreeSet<String> = std::fs::read_dir(&bin_dir)
+            .expect("src/bin readable")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "rs"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .filter(|name| name != "all_experiments" && name != "perf_snapshot")
+            .collect();
+        let listed: BTreeSet<String> = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        assert_eq!(listed.len(), EXPERIMENTS.len(), "duplicate experiment name");
+        assert_eq!(listed, bins);
     }
 }

@@ -1,7 +1,8 @@
 //! `baseline_suite` — the behavioral CDR bake-off: the paper's gated
-//! oscillator against the three conventional clock-recovery loops the
-//! workspace models behaviorally (bang-bang, Mueller–Müller, Gardner) and
-//! the frequency-detector-assisted bang-bang variant.
+//! oscillator against the four conventional clock-recovery loops the
+//! workspace models behaviorally (bang-bang, Mueller–Müller, Gardner,
+//! phase interpolator) and the frequency-detector-assisted bang-bang
+//! variant.
 //!
 //! Every number is an [`gcco_api::EvalRequest`] evaluated through the
 //! [`gcco_bench::campaign`] runner — locally (with an optional persistent
@@ -34,6 +35,7 @@ fn arch_label(arch: CdrArchKind) -> &'static str {
         CdrArchKind::MuellerMuller => "mueller-muller",
         CdrArchKind::Gardner => "gardner",
         CdrArchKind::BangBangFd => "bang-bang+fd",
+        CdrArchKind::PhaseInterp => "phase-interp",
     }
 }
 
@@ -205,6 +207,11 @@ fn main() {
                 metrics::BASELINE_FD_LOCK_BITS,
                 metrics::BASELINE_FD_JTOL_0P01FB,
                 metrics::BASELINE_FD_CAPTURE_PCT,
+            ),
+            CdrArchKind::PhaseInterp => (
+                metrics::BASELINE_PI_LOCK_BITS,
+                metrics::BASELINE_PI_JTOL_0P01FB,
+                metrics::BASELINE_PI_CAPTURE_PCT,
             ),
         };
         result_line(lock_key, fmt_opt(row.track.lock_bits));

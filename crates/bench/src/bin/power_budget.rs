@@ -1,5 +1,6 @@
 //! §1/§2 claim — power consumption below 5 mW/Gbit/s, and the comparison
-//! against the conventional per-channel PLL-based CDR the paper avoids.
+//! against the conventional per-channel PLL-based and phase-interpolator
+//! CDRs the paper avoids.
 //!
 //! The analytic sizing and the Fig. 11 I_SS scan are one
 //! [`EvalRequest::PowerScan`] evaluated through the [`Engine`]; the sized
@@ -99,6 +100,29 @@ fn main() {
     assert!(
         pll_eff / eff > 2.0,
         "the paper's motivation: GCCO is the low-power option"
+    );
+
+    // The other alternative §1 names: a phase-interpolator CDR has no
+    // per-channel VCO, but it distributes multi-phase clocks to every
+    // channel and pays for the interpolator, its DAC and the loop logic.
+    let pi_cdr = ChannelPowerBudget {
+        cell: budget.cell,
+        osc_stages: 0,        // no per-channel VCO…
+        delay_line_cells: 16, // …but 8-phase clock distribution buffers
+        misc_cells: 24,       // interpolator + DAC + PD + logic
+    };
+    let pi_eff = pi_cdr.mw_per_gbps(bit_rate);
+    println!("\nper-channel phase-interpolator CDR (same cell currency):");
+    println!("  cells            : {}", pi_cdr.total_cells());
+    println!("  efficiency       : {pi_eff:.2} mW/Gbit/s");
+    result_line(metrics::PI_CDR_MW_PER_GBPS, format!("{pi_eff:.3}"));
+    result_line(
+        metrics::GCCO_VS_PI_POWER_RATIO,
+        format!("{:.2}", pi_eff / eff),
+    );
+    assert!(
+        pi_eff / eff > 2.0,
+        "the phase interpolator also costs more than 2x the GCCO"
     );
 
     println!(

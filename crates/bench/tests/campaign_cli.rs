@@ -176,7 +176,7 @@ fn optimize_store_runs_replay_every_probe() {
 #[test]
 fn baseline_suite_store_runs_replay_every_row() {
     let warm = cold_warm(BASELINE_SUITE, QUICK, "baseline-store");
-    assert_eq!(result(&warm, "baseline_store_hits"), "14");
+    assert_eq!(result(&warm, "baseline_store_hits"), "17");
 }
 
 #[test]

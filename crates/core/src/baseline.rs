@@ -17,10 +17,9 @@
 //!   acquisition period, per-channel loop hardware, and a full-rate
 //!   phase-adjustable clock (the power cost the paper avoids).
 
-use crate::cdr_arch::LockDetector;
+use crate::cdr_arch::{CdrArch, CdrTrace, LockDetector};
 use gcco_signal::{BitStream, EdgeStream, JitterConfig};
 use gcco_units::{Freq, Ui};
-use std::fmt;
 
 /// Bang-bang CDR loop parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -50,72 +49,21 @@ impl Default for BangBangConfig {
     }
 }
 
-/// Result of a bang-bang CDR tracking run.
-#[derive(Clone, Debug)]
-pub struct BangBangRunResult {
-    /// Sampling-phase error (UI) at each transition, after the update.
-    pub phase_error: Vec<f64>,
-    /// Bit index where the error first entered ±0.1 UI of a run that was
-    /// subsequently confirmed by 64 consecutive in-band transitions
-    /// (the confirm window is detector latency, not acquisition time);
-    /// `None` when the loop never locked.
-    pub lock_bits: Option<usize>,
-    /// Index into `phase_error` of that same lock entry.
-    pub lock_transition: Option<usize>,
-    /// Sampling errors: transitions where the instantaneous error exceeded
-    /// half a UI (the sample fell outside the bit).
-    pub errors: usize,
-    /// Transitions processed.
-    pub transitions: usize,
-}
-
-impl BangBangRunResult {
-    /// RMS residual phase error over the confirmed post-lock region, or
-    /// `None` for a run that never locked — an unlocked run has no steady
-    /// state, and averaging its whole error trace would silently report
-    /// garbage as one.
-    pub fn residual_rms(&self) -> Option<f64> {
-        let start = self.lock_transition?;
-        let tail = &self.phase_error[start..];
-        if tail.is_empty() {
-            return None;
-        }
-        Some((tail.iter().map(|e| e * e).sum::<f64>() / tail.len() as f64).sqrt())
-    }
-}
-
-impl fmt::Display for BangBangRunResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.lock_bits {
-            Some(bits) => write!(
-                f,
-                "bang-bang: {} transitions, {} errors, locked at bit {}",
-                self.transitions, self.errors, bits
-            ),
-            None => write!(
-                f,
-                "bang-bang: {} transitions, {} errors, no lock",
-                self.transitions, self.errors
-            ),
-        }
-    }
-}
-
 /// A bang-bang (Alexander) phase-tracking CDR operating on edge
 /// displacements.
 ///
 /// # Examples
 ///
 /// ```
-/// use gcco_core::{BangBangCdr, BangBangConfig};
+/// use gcco_core::{BangBangCdr, BangBangConfig, CdrArch};
 /// use gcco_signal::{JitterConfig, Prbs, PrbsOrder};
 /// use gcco_units::Freq;
 ///
 /// let bits = Prbs::new(PrbsOrder::P7).take_bits(5_000);
 /// let cdr = BangBangCdr::new(BangBangConfig::typical());
-/// let result = cdr.run(&bits, Freq::from_gbps(2.5), &JitterConfig::none(), 1);
-/// assert_eq!(result.errors, 0);
-/// assert!(result.lock_bits.is_some());
+/// let trace = cdr.track(&bits, Freq::from_gbps(2.5), &JitterConfig::none(), 1);
+/// assert_eq!(trace.errors, 0);
+/// assert!(trace.lock_bits.is_some());
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct BangBangCdr {
@@ -133,66 +81,6 @@ impl BangBangCdr {
         &self.config
     }
 
-    /// Tracks a jittered stream. The loop starts half a UI off (worst-case
-    /// initial phase) and must acquire.
-    pub fn run(
-        &self,
-        bits: &BitStream,
-        bit_rate: Freq,
-        jitter: &JitterConfig,
-        seed: u64,
-    ) -> BangBangRunResult {
-        let stream = EdgeStream::synthesize(bits, bit_rate, jitter, seed);
-        let ui = bit_rate.period();
-        let mut theta: f64 = 0.5; // sampling-phase offset error, UI
-        let mut freq_word: f64 = 0.0;
-        let mut last_edge_bit: f64 = 0.0;
-        let mut result = BangBangRunResult {
-            phase_error: Vec::with_capacity(stream.edges().len()),
-            lock_bits: None,
-            lock_transition: None,
-            errors: 0,
-            transitions: 0,
-        };
-        let mut lock = LockDetector::new();
-
-        for edge in stream.edges() {
-            let edge_bit = edge.time / ui; // fractional bit index
-            let bits_elapsed = (edge_bit - last_edge_bit).max(0.0);
-            last_edge_bit = edge_bit;
-            // Local clock drift between transitions: frequency offset plus
-            // the loop's frequency word.
-            theta += (self.config.freq_offset + freq_word) * bits_elapsed;
-            // Edge displacement from the ideal grid (what the PD sees).
-            let displacement = edge_bit - edge_bit.round();
-            let error = displacement - theta;
-            result.transitions += 1;
-            if error.abs() > 0.5 {
-                result.errors += 1;
-            }
-            // Bang-bang update.
-            let sign = if error > 0.0 { 1.0 } else { -1.0 };
-            theta += self.config.kp * sign;
-            freq_word += self.config.ki * sign;
-            freq_word = freq_word.clamp(-0.05, 0.05);
-            result.phase_error.push(error);
-            // Lock detection: error inside ±0.1 UI for 64 consecutive
-            // transitions confirms the lock; the reported lock point is
-            // where the error first *entered* the band, not the 64th
-            // confirming transition.
-            lock.observe(
-                error,
-                edge_bit.round().max(0.0) as usize,
-                result.transitions - 1,
-            );
-        }
-        if let Some((update, bit)) = lock.lock() {
-            result.lock_transition = Some(update);
-            result.lock_bits = Some(bit);
-        }
-        result
-    }
-
     /// Approximate jitter-tolerance roll-off of the loop: the maximum SJ
     /// peak-to-peak amplitude (UI) trackable at normalized frequency
     /// `f_norm`, given the average transition density `rho`.
@@ -205,6 +93,72 @@ impl BangBangCdr {
     pub fn jtol_slew_limit(&self, f_norm: f64, transition_density: f64) -> Ui {
         assert!(f_norm > 0.0, "invalid frequency {f_norm}");
         Ui::new(self.config.kp * transition_density / (std::f64::consts::PI * f_norm))
+    }
+}
+
+impl CdrArch for BangBangCdr {
+    fn name(&self) -> &'static str {
+        "bang-bang"
+    }
+
+    /// Tracks a jittered stream. The loop starts half a UI off (worst-case
+    /// initial phase) and must acquire.
+    fn track(
+        &self,
+        bits: &BitStream,
+        bit_rate: Freq,
+        jitter: &JitterConfig,
+        seed: u64,
+    ) -> CdrTrace {
+        let stream = EdgeStream::synthesize(bits, bit_rate, jitter, seed);
+        let ui = bit_rate.period();
+        let mut theta: f64 = 0.5; // sampling-phase offset error, UI
+        let mut freq_word: f64 = 0.0;
+        let mut last_edge_bit: f64 = 0.0;
+        let mut trace = CdrTrace::with_capacity(stream.edges().len());
+        let mut lock = LockDetector::new();
+
+        for edge in stream.edges() {
+            let edge_bit = edge.time / ui; // fractional bit index
+            let bits_elapsed = (edge_bit - last_edge_bit).max(0.0);
+            last_edge_bit = edge_bit;
+            // Local clock drift between transitions: frequency offset plus
+            // the loop's frequency word.
+            theta += (self.config.freq_offset + freq_word) * bits_elapsed;
+            // Edge displacement from the ideal grid (what the PD sees).
+            let displacement = edge_bit - edge_bit.round();
+            let error = displacement - theta;
+            trace.updates += 1;
+            if error.abs() > 0.5 {
+                trace.record_error(trace.updates - 1);
+            }
+            // Bang-bang update.
+            let sign = if error > 0.0 { 1.0 } else { -1.0 };
+            theta += self.config.kp * sign;
+            freq_word += self.config.ki * sign;
+            freq_word = freq_word.clamp(-0.05, 0.05);
+            trace.phase_error.push(error);
+            // Lock detection: error inside ±0.1 UI for 64 consecutive
+            // transitions confirms the lock; the reported lock point is
+            // where the error first *entered* the band, not the 64th
+            // confirming transition.
+            lock.observe(error, edge_bit.round().max(0.0) as usize, trace.updates - 1);
+        }
+        if let Some((update, bit)) = lock.lock() {
+            trace.lock_update = Some(update);
+            trace.lock_bits = Some(bit);
+        }
+        trace
+    }
+
+    /// The slip-free lock-in range: the proportional path corrects at
+    /// most `kp` UI per transition against an offset slipping `ε` UI per
+    /// bit, so `ε ≤ kp·ρ` with ρ ≈ 0.5. (Cycle-slip pull-in through the
+    /// integrator can slowly reach the ±0.05 frequency-word clamp, but
+    /// takes orders of magnitude longer — the FD-assisted variant exists
+    /// to make acquisition beyond `kp·ρ` fast and bounded.)
+    fn capture_range(&self) -> f64 {
+        self.config.kp * 0.5
     }
 }
 
@@ -224,7 +178,7 @@ mod tests {
     #[test]
     fn acquires_from_worst_case_phase() {
         let cdr = BangBangCdr::new(BangBangConfig::typical());
-        let result = cdr.run(&bits(10_000), rate(), &JitterConfig::none(), 1);
+        let result = cdr.track(&bits(10_000), rate(), &JitterConfig::none(), 1);
         let lock = result.lock_bits.expect("must lock");
         // kp = 0.01 UI/transition, 0.5 UI to cover, ~0.5 transitions/bit:
         // ≈ 200 bits, plus detector latency.
@@ -241,7 +195,7 @@ mod tests {
         // bits acquiring; the gated oscillator is aligned from the very
         // first transition (its "lock time" is one edge-detector delay).
         let cdr = BangBangCdr::new(BangBangConfig::typical());
-        let result = cdr.run(&bits(10_000), rate(), &JitterConfig::none(), 1);
+        let result = cdr.track(&bits(10_000), rate(), &JitterConfig::none(), 1);
         assert!(result.lock_bits.unwrap() > 50);
     }
 
@@ -252,7 +206,7 @@ mod tests {
             Ui::new(0.4),
             Freq::from_khz(100.0), // f_norm = 4e-5 — slow
         ));
-        let result = cdr.run(&bits(50_000), rate(), &jitter, 2);
+        let result = cdr.track(&bits(50_000), rate(), &jitter, 2);
         assert_eq!(result.errors, 0, "{result}");
     }
 
@@ -262,7 +216,7 @@ mod tests {
         let cdr = BangBangCdr::new(BangBangConfig::typical());
         let jitter = JitterConfig::none()
             .with_sj(SinusoidalJitter::new(Ui::new(1.4), Freq::from_mhz(625.0)));
-        let result = cdr.run(&bits(50_000), rate(), &jitter, 3);
+        let result = cdr.track(&bits(50_000), rate(), &jitter, 3);
         assert!(result.errors > 0, "{result}");
     }
 
@@ -271,7 +225,7 @@ mod tests {
         let mut config = BangBangConfig::typical();
         config.freq_offset = 500e-6;
         let cdr = BangBangCdr::new(config);
-        let result = cdr.run(&bits(50_000), rate(), &JitterConfig::none(), 4);
+        let result = cdr.track(&bits(50_000), rate(), &JitterConfig::none(), 4);
         // After lock the integrator cancels the ppm offset.
         let tail = &result.phase_error[result.phase_error.len() / 2..];
         let mean = tail.iter().sum::<f64>() / tail.len() as f64;
@@ -295,8 +249,8 @@ mod tests {
     #[test]
     fn residual_grows_with_rj() {
         let cdr = BangBangCdr::new(BangBangConfig::typical());
-        let clean = cdr.run(&bits(30_000), rate(), &JitterConfig::none(), 5);
-        let noisy = cdr.run(
+        let clean = cdr.track(&bits(30_000), rate(), &JitterConfig::none(), 5);
+        let noisy = cdr.track(
             &bits(30_000),
             rate(),
             &JitterConfig {
@@ -319,9 +273,9 @@ mod tests {
         let mut config = BangBangConfig::typical();
         config.freq_offset = 500e-6;
         let cdr = BangBangCdr::new(config);
-        let result = cdr.run(&bits(20_000), rate(), &JitterConfig::none(), 4);
+        let result = cdr.track(&bits(20_000), rate(), &JitterConfig::none(), 4);
         let lock = result.lock_bits.expect("must lock");
-        let entry = result.lock_transition.expect("must lock");
+        let entry = result.lock_update.expect("must lock");
         // Entry point is consistent: every one of the 64 confirming
         // transitions after it is inside the ±0.1 UI band.
         for (i, e) in result.phase_error[entry..entry + 64].iter().enumerate() {
@@ -350,9 +304,9 @@ mod tests {
             freq_offset: 0.02,
         };
         let cdr = BangBangCdr::new(config);
-        let result = cdr.run(&bits(30_000), rate(), &JitterConfig::none(), 6);
+        let result = cdr.track(&bits(30_000), rate(), &JitterConfig::none(), 6);
         assert_eq!(result.lock_bits, None, "{result}");
-        assert_eq!(result.lock_transition, None);
+        assert_eq!(result.lock_update, None);
         assert_eq!(result.residual_rms(), None, "no lock ⇒ no steady state");
         let shown = result.to_string();
         assert!(shown.contains("no lock"), "Display must say so: {shown}");

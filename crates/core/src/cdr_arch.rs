@@ -3,11 +3,12 @@
 //!
 //! The paper's §1 dismisses "popular PLL, DLL or phase interpolation
 //! techniques" on power and acquisition grounds. To make that a
-//! reproducible figure instead of a claim, every behavioral baseline —
-//! the bang-bang loop ([`crate::BangBangCdr`]), the Mueller&Müller
-//! timing-error-detector loop ([`crate::MmCdr`]), the Gardner loop
-//! ([`crate::GardnerCdr`]), and the semi-rotational-FD-assisted bang-bang
-//! ([`crate::FdBangBangCdr`]) — implements [`CdrArch`]: track a jittered
+//! reproducible figure instead of a claim, each of the five behavioral
+//! baselines — the bang-bang loop ([`crate::BangBangCdr`]), the
+//! Mueller&Müller timing-error-detector loop ([`crate::MmCdr`]), the
+//! Gardner loop ([`crate::GardnerCdr`]), the semi-rotational-FD-assisted
+//! bang-bang ([`crate::FdBangBangCdr`]) and the phase-interpolator loop
+//! ([`crate::PhaseInterpCdr`]) — implements [`CdrArch`]: track a jittered
 //! stream and report the same [`CdrTrace`] (phase-error trace, lock bit,
 //! sampling-error count), plus an analytic capture-range estimate. The
 //! GCCO itself needs no entry here: it has no loop, so its "lock time" is
@@ -81,8 +82,9 @@ impl CdrTrace {
     }
 
     /// RMS residual phase error over the confirmed post-lock region, or
-    /// `None` when the run never locked (there is no steady state to
-    /// average — see the `BangBangRunResult::residual_rms` bugfix).
+    /// `None` when the run never locked: an unlocked run has no steady
+    /// state, and averaging its whole error trace would report garbage as
+    /// one.
     pub fn residual_rms(&self) -> Option<f64> {
         let start = self.lock_update?;
         let tail = &self.phase_error[start..];
@@ -244,50 +246,6 @@ impl NrzWaveform {
 /// a real phase detector, which only sees phase modulo one bit, observes.
 pub fn wrap_ui(error: f64) -> f64 {
     (error + 0.5).rem_euclid(1.0) - 0.5
-}
-
-impl CdrArch for crate::BangBangCdr {
-    fn name(&self) -> &'static str {
-        "bang-bang"
-    }
-
-    fn track(
-        &self,
-        bits: &BitStream,
-        bit_rate: Freq,
-        jitter: &JitterConfig,
-        seed: u64,
-    ) -> CdrTrace {
-        let run = self.run(bits, bit_rate, jitter, seed);
-        // The run counts an error exactly when |error| > 0.5, so the
-        // error updates are recoverable from the stored trace.
-        let error_updates: Vec<usize> = run
-            .phase_error
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.abs() > 0.5)
-            .map(|(i, _)| i)
-            .collect();
-        debug_assert_eq!(error_updates.len(), run.errors);
-        CdrTrace {
-            phase_error: run.phase_error,
-            lock_bits: run.lock_bits,
-            lock_update: run.lock_transition,
-            errors: run.errors,
-            error_updates,
-            updates: run.transitions,
-        }
-    }
-
-    /// The slip-free lock-in range: the proportional path corrects at
-    /// most `kp` UI per transition against an offset slipping `ε` UI per
-    /// bit, so `ε ≤ kp·ρ` with ρ ≈ 0.5. (Cycle-slip pull-in through the
-    /// integrator can slowly reach the ±0.05 frequency-word clamp, but
-    /// takes orders of magnitude longer — the FD-assisted variant exists
-    /// to make acquisition beyond `kp·ρ` fast and bounded.)
-    fn capture_range(&self) -> f64 {
-        self.config().kp * 0.5
-    }
 }
 
 #[cfg(test)]

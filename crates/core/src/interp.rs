@@ -9,32 +9,31 @@
 //! and the interpolator, its thermometer DAC and the multi-phase clock
 //! distribution are exactly the power the paper's gated oscillator avoids.
 
+use crate::cdr_arch::{CdrArch, CdrTrace, LockDetector};
 use gcco_signal::{BitStream, EdgeStream, JitterConfig};
-use gcco_units::{Freq, Ui};
-use std::fmt;
+use gcco_units::Freq;
+
+/// Early/late decisions majority-voted into one loop update.
+const DECIMATION: u32 = 8;
+/// Interpolator steps the code moves per loop update.
+const STEPS_PER_UPDATE: i64 = 1;
 
 /// Phase-interpolator CDR parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PiConfig {
-    /// Interpolator steps per UI (64 is a common design point).
-    pub steps_per_ui: u32,
-    /// Loop update: phase steps moved per early/late decision.
-    pub steps_per_update: u32,
-    /// Decisions accumulated (majority-voted) per loop update.
-    pub decimation: u32,
+    /// Interpolator phase step, in UI (1/64 is a common design point).
+    pub step_ui: f64,
     /// Local reference offset versus the data rate (fraction); the PI must
     /// rotate continuously to absorb it.
     pub freq_offset: f64,
 }
 
 impl PiConfig {
-    /// A conventional design point: 64 steps/UI, 1 step per update,
-    /// 8:1 decimation.
+    /// A conventional design point: 64 steps/UI (the loop moves one step
+    /// per update, majority-voting 8 decisions into each).
     pub fn typical() -> PiConfig {
         PiConfig {
-            steps_per_ui: 64,
-            steps_per_update: 1,
-            decimation: 8,
+            step_ui: 1.0 / 64.0,
             freq_offset: 0.0,
         }
     }
@@ -46,44 +45,21 @@ impl Default for PiConfig {
     }
 }
 
-/// Result of a PI-CDR tracking run.
-#[derive(Clone, Debug)]
-pub struct PiRunResult {
-    /// Residual phase error (UI) at each transition.
-    pub phase_error: Vec<f64>,
-    /// Sampling errors (error beyond ±0.5 UI).
-    pub errors: usize,
-    /// Transitions processed.
-    pub transitions: usize,
-    /// Quantization-induced RMS phase ripple after lock.
-    pub quantization_rms: f64,
-}
-
-impl fmt::Display for PiRunResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "PI CDR: {} transitions, {} errors, q-ripple {:.4} UI",
-            self.transitions, self.errors, self.quantization_rms
-        )
-    }
-}
-
 /// A phase-interpolator CDR operating on edge displacements.
 ///
 /// # Examples
 ///
 /// ```
-/// use gcco_core::{PhaseInterpCdr, PiConfig};
+/// use gcco_core::{CdrArch, PhaseInterpCdr, PiConfig};
 /// use gcco_signal::{JitterConfig, Prbs, PrbsOrder};
 /// use gcco_units::Freq;
 ///
 /// let bits = Prbs::new(PrbsOrder::P7).take_bits(20_000);
 /// let cdr = PhaseInterpCdr::new(PiConfig::typical());
-/// let result = cdr.run(&bits, Freq::from_gbps(2.5), &JitterConfig::none(), 1);
-/// assert_eq!(result.errors, 0);
+/// let trace = cdr.track(&bits, Freq::from_gbps(2.5), &JitterConfig::none(), 1);
+/// assert_eq!(trace.errors, 0);
 /// // Quantization floor: the PI can never sit still, it dithers ±1 step.
-/// assert!(result.quantization_rms >= 0.5 / 64.0 * 0.5);
+/// assert!(trace.residual_rms().expect("locked") >= 0.5 / 64.0 * 0.5);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseInterpCdr {
@@ -95,10 +71,13 @@ impl PhaseInterpCdr {
     ///
     /// # Panics
     ///
-    /// Panics if `steps_per_ui` or `decimation` is zero.
+    /// Panics unless `0 < step_ui <= 0.25` (at least 4 steps per UI).
     pub fn new(config: PiConfig) -> PhaseInterpCdr {
-        assert!(config.steps_per_ui >= 4, "need at least 4 steps/UI");
-        assert!(config.decimation >= 1, "decimation must be at least 1");
+        assert!(
+            config.step_ui > 0.0 && config.step_ui <= 0.25,
+            "need at least 4 steps/UI (0 < step_ui <= 0.25), got step_ui = {}",
+            config.step_ui
+        );
         PhaseInterpCdr { config }
     }
 
@@ -106,19 +85,25 @@ impl PhaseInterpCdr {
     pub fn config(&self) -> &PiConfig {
         &self.config
     }
+}
+
+impl CdrArch for PhaseInterpCdr {
+    fn name(&self) -> &'static str {
+        "phase-interp"
+    }
 
     /// Tracks a jittered stream, starting half a UI off.
-    pub fn run(
+    fn track(
         &self,
         bits: &BitStream,
         bit_rate: Freq,
         jitter: &JitterConfig,
         seed: u64,
-    ) -> PiRunResult {
+    ) -> CdrTrace {
         let cfg = &self.config;
         let stream = EdgeStream::synthesize(bits, bit_rate, jitter, seed);
         let ui = bit_rate.period();
-        let step = 1.0 / cfg.steps_per_ui as f64;
+        let step = cfg.step_ui;
         // Interpolator code (phase offset in steps) and residual frequency
         // rotation.
         let mut code: i64 = (0.5 / step) as i64;
@@ -126,12 +111,8 @@ impl PhaseInterpCdr {
         let mut votes_seen: u32 = 0;
         let mut last_edge_bit = 0.0f64;
         let mut frac_rotation = 0.0f64;
-        let mut result = PiRunResult {
-            phase_error: Vec::with_capacity(stream.edges().len()),
-            errors: 0,
-            transitions: 0,
-            quantization_rms: 0.0,
-        };
+        let mut trace = CdrTrace::with_capacity(stream.edges().len());
+        let mut lock = LockDetector::new();
 
         for edge in stream.edges() {
             let edge_bit = edge.time / ui;
@@ -144,43 +125,38 @@ impl PhaseInterpCdr {
             let theta = code as f64 * step + frac_rotation;
             let displacement = edge_bit - edge_bit.round();
             let error = displacement - theta;
-            result.transitions += 1;
+            trace.updates += 1;
             if error.abs() > 0.5 {
-                result.errors += 1;
+                trace.record_error(trace.updates - 1);
             }
-            result.phase_error.push(error);
+            trace.phase_error.push(error);
+            lock.observe(error, edge_bit.round().max(0.0) as usize, trace.updates - 1);
 
             // Decimated majority-vote bang-bang update.
             vote += if error > 0.0 { 1 } else { -1 };
             votes_seen += 1;
-            if votes_seen == cfg.decimation {
+            if votes_seen == DECIMATION {
                 if vote > 0 {
-                    code += cfg.steps_per_update as i64;
+                    code += STEPS_PER_UPDATE;
                 } else if vote < 0 {
-                    code -= cfg.steps_per_update as i64;
+                    code -= STEPS_PER_UPDATE;
                 }
                 vote = 0;
                 votes_seen = 0;
             }
         }
-        // Quantization ripple over the settled second half.
-        let tail = &result.phase_error[result.phase_error.len() / 2..];
-        if !tail.is_empty() {
-            let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-            result.quantization_rms =
-                (tail.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / tail.len() as f64).sqrt();
+        if let Some((update, bit)) = lock.lock() {
+            trace.lock_update = Some(update);
+            trace.lock_bits = Some(bit);
         }
-        result
+        trace
     }
 
-    /// Slew-limited jitter tolerance, like the bang-bang loop but per
-    /// decimated update: `A_max = steps_per_update·ρ/(decimation·steps_per_ui·π·f)`.
-    pub fn jtol_slew_limit(&self, f_norm: f64, transition_density: f64) -> Ui {
-        assert!(f_norm > 0.0, "invalid frequency {f_norm}");
-        let cfg = &self.config;
-        let slew_per_ui = cfg.steps_per_update as f64 * transition_density
-            / (cfg.decimation as f64 * cfg.steps_per_ui as f64);
-        Ui::new(slew_per_ui / (std::f64::consts::PI * f_norm))
+    /// The rotation-rate cap: the code moves at most one step per 8
+    /// transitions (the decimation) against an offset slipping `ε` UI per
+    /// bit, so `ε ≤ ρ·step/8` with ρ ≈ 0.5.
+    fn capture_range(&self) -> f64 {
+        0.5 * self.config.step_ui / DECIMATION as f64
     }
 }
 
@@ -188,6 +164,7 @@ impl PhaseInterpCdr {
 mod tests {
     use super::*;
     use gcco_signal::{Prbs, PrbsOrder, SinusoidalJitter};
+    use gcco_units::Ui;
 
     fn rate() -> Freq {
         Freq::from_gbps(2.5)
@@ -200,7 +177,7 @@ mod tests {
     #[test]
     fn acquires_and_tracks_clean_data() {
         let cdr = PhaseInterpCdr::new(PiConfig::typical());
-        let result = cdr.run(&bits(30_000), rate(), &JitterConfig::none(), 1);
+        let result = cdr.track(&bits(30_000), rate(), &JitterConfig::none(), 1);
         assert_eq!(result.errors, 0, "{result}");
         // Settled error bounded by a few interpolator steps.
         let tail = &result.phase_error[result.phase_error.len() * 3 / 4..];
@@ -212,24 +189,27 @@ mod tests {
         // Unlike the gated oscillator (continuous resync), the PI dithers
         // around the lock point by at least a step.
         let cdr = PhaseInterpCdr::new(PiConfig::typical());
-        let result = cdr.run(&bits(30_000), rate(), &JitterConfig::none(), 2);
-        assert!(result.quantization_rms >= 0.25 / 64.0, "{result}");
+        let result = cdr.track(&bits(30_000), rate(), &JitterConfig::none(), 2);
+        assert!(result.residual_rms().unwrap() >= 0.25 / 64.0, "{result}");
     }
 
     #[test]
     fn finer_interpolator_reduces_the_floor() {
         let coarse = PhaseInterpCdr::new(PiConfig {
-            steps_per_ui: 16,
+            step_ui: 1.0 / 16.0,
             ..PiConfig::typical()
         });
         let fine = PhaseInterpCdr::new(PiConfig {
-            steps_per_ui: 128,
+            step_ui: 1.0 / 128.0,
             ..PiConfig::typical()
         });
         let data = bits(30_000);
-        let rc = coarse.run(&data, rate(), &JitterConfig::none(), 3);
-        let rf = fine.run(&data, rate(), &JitterConfig::none(), 3);
-        assert!(rf.quantization_rms < rc.quantization_rms, "{rc} vs {rf}");
+        let rc = coarse.track(&data, rate(), &JitterConfig::none(), 3);
+        let rf = fine.track(&data, rate(), &JitterConfig::none(), 3);
+        assert!(
+            rf.residual_rms().unwrap() < rc.residual_rms().unwrap(),
+            "{rc} vs {rf}"
+        );
     }
 
     #[test]
@@ -238,7 +218,7 @@ mod tests {
             freq_offset: 200e-6,
             ..PiConfig::typical()
         });
-        let result = cdr.run(&bits(60_000), rate(), &JitterConfig::none(), 4);
+        let result = cdr.track(&bits(60_000), rate(), &JitterConfig::none(), 4);
         // A handful of decisions can cross ±0.5 UI during the worst-case
         // 0.5 UI acquisition; post-lock there must be none.
         assert!(result.errors < 20, "{result}");
@@ -250,14 +230,14 @@ mod tests {
 
     #[test]
     fn excess_offset_outruns_the_rotation() {
-        // The PI can rotate at most steps_per_update/(decimation·steps_per_ui)
+        // The PI can rotate at most one step per decimated update, step/8
         // UI per transition ≈ 1/(8·64) ≈ 0.2 % per transition → with ~0.5
         // transition density, offsets beyond ~0.1 % start slipping.
         let cdr = PhaseInterpCdr::new(PiConfig {
             freq_offset: 0.01,
             ..PiConfig::typical()
         });
-        let result = cdr.run(&bits(60_000), rate(), &JitterConfig::none(), 5);
+        let result = cdr.track(&bits(60_000), rate(), &JitterConfig::none(), 5);
         assert!(result.errors > 0, "{result}");
     }
 
@@ -266,27 +246,19 @@ mod tests {
         let cdr = PhaseInterpCdr::new(PiConfig::typical());
         let slow =
             JitterConfig::none().with_sj(SinusoidalJitter::new(Ui::new(0.4), Freq::from_khz(50.0)));
-        let ok = cdr.run(&bits(60_000), rate(), &slow, 6);
+        let ok = cdr.track(&bits(60_000), rate(), &slow, 6);
         assert_eq!(ok.errors, 0, "{ok}");
         let fast = JitterConfig::none()
             .with_sj(SinusoidalJitter::new(Ui::new(1.4), Freq::from_mhz(625.0)));
-        let bad = cdr.run(&bits(60_000), rate(), &fast, 7);
+        let bad = cdr.track(&bits(60_000), rate(), &fast, 7);
         assert!(bad.errors > 0, "{bad}");
-    }
-
-    #[test]
-    fn slew_limit_formula_scales() {
-        let cdr = PhaseInterpCdr::new(PiConfig::typical());
-        let a = cdr.jtol_slew_limit(0.001, 0.5);
-        let b = cdr.jtol_slew_limit(0.01, 0.5);
-        assert!((a.value() / b.value() - 10.0).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "at least 4 steps")]
     fn rejects_tiny_interpolator() {
         let _ = PhaseInterpCdr::new(PiConfig {
-            steps_per_ui: 2,
+            step_ui: 1.0 / 2.0,
             ..PiConfig::typical()
         });
     }

@@ -11,6 +11,7 @@
 
 use crate::baseline::BangBangCdr;
 use crate::cdr::{build_cdr, CdrConfig};
+use crate::cdr_arch::CdrArch;
 use gcco_dsim::Simulator;
 use gcco_signal::{BitStream, EdgeStream, JitterConfig, SinusoidalJitter};
 use gcco_stat::tone_amplitude;
@@ -85,11 +86,11 @@ pub fn bang_bang_jitter_transfer(
     let bits = BitStream::alternating(n_bits);
     let jitter =
         JitterConfig::none().with_sj(SinusoidalJitter::new(amplitude_pp, bit_rate * f_norm));
-    let result = cdr.run(&bits, bit_rate, &jitter, seed);
+    let trace = cdr.track(&bits, bit_rate, &jitter, seed);
     // Recovered clock phase θ = displacement − error; alternating data
     // gives one sample per bit.
-    let skip = result.phase_error.len() / 4;
-    let theta: Vec<f64> = result.phase_error[skip..]
+    let skip = trace.updates / 4;
+    let theta: Vec<f64> = trace.phase_error[skip..]
         .iter()
         .enumerate()
         .map(|(k, &e)| {

@@ -15,9 +15,10 @@
 //!   channels inherit (Fig. 6);
 //! * [`MultiChannelReceiver`] — the channel array with CCO mismatch;
 //! * [`ElasticBuffer`] — the recovered-to-system clock crossing (Fig. 4);
-//! * [`BangBangCdr`], [`MmCdr`], [`GardnerCdr`], [`FdBangBangCdr`] — the
-//!   conventional per-channel CDR architectures the paper argues against,
-//!   unified under the [`CdrArch`] trait for quantitative comparison;
+//! * [`BangBangCdr`], [`MmCdr`], [`GardnerCdr`], [`FdBangBangCdr`],
+//!   [`PhaseInterpCdr`] — the five conventional per-channel CDR loops the
+//!   paper argues against, unified under the [`CdrArch`] trait for
+//!   quantitative comparison;
 //! * [`LinkComparison`] — the parallel-bus-versus-serial budget of Fig. 1;
 //! * [`run_design_flow`] — the four-gate top-down methodology itself.
 //!
@@ -58,7 +59,7 @@ mod pll;
 mod receiver;
 mod rotfd;
 
-pub use baseline::{BangBangCdr, BangBangConfig, BangBangRunResult};
+pub use baseline::{BangBangCdr, BangBangConfig};
 pub use cdr::{build_cdr, run_cdr, CdrConfig, CdrHandles, CdrRunResult};
 pub use cdr_arch::{
     wrap_ui, CdrArch, CdrTrace, LockDetector, NrzWaveform, LOCK_BAND_UI, LOCK_CONFIRM_UPDATES,
@@ -68,7 +69,7 @@ pub use elastic::{ElasticBuffer, ElasticRunResult};
 pub use flow::{run_design_flow, DesignReport, FlowSpec, StepReport};
 pub use gardner::{GardnerCdr, GardnerConfig};
 pub use gcco::{CcoParams, GatedOscillator, GccoHandles};
-pub use interp::{PhaseInterpCdr, PiConfig, PiRunResult};
+pub use interp::{PhaseInterpCdr, PiConfig};
 pub use jtran::{bang_bang_jitter_transfer, gcco_jitter_transfer};
 pub use linkmodel::{LinkComparison, ParallelBus, SerialLink};
 pub use los::{add_los_monitor, LossOfSignal};

@@ -6,7 +6,7 @@
 //! phase-error trace. A change to either loop's arithmetic — or to the
 //! order in which it records updates — moves at least one pin.
 
-use gcco_core::{BangBangCdr, BangBangConfig, PhaseInterpCdr, PiConfig};
+use gcco_core::{BangBangCdr, BangBangConfig, CdrArch, PhaseInterpCdr, PiConfig};
 use gcco_signal::{BitStream, JitterConfig, Prbs, PrbsOrder, SinusoidalJitter};
 use gcco_units::{Freq, Ui};
 
@@ -70,7 +70,7 @@ fn bang_bang_traces_are_pinned() {
                 freq_offset,
                 ..BangBangConfig::typical()
             });
-            let r = cdr.run(&bits, rate(), &jitter, seed);
+            let r = cdr.track(&bits, rate(), &jitter, seed);
             let pin = (
                 r.phase_error.len(),
                 r.errors,
@@ -111,7 +111,7 @@ fn phase_interp_traces_are_pinned() {
                 freq_offset,
                 ..PiConfig::typical()
             });
-            let r = cdr.run(&bits, rate(), &jitter, seed);
+            let r = cdr.track(&bits, rate(), &jitter, seed);
             let pin = (
                 r.phase_error.len(),
                 r.errors,
