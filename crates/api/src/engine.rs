@@ -1192,6 +1192,98 @@ mod tests {
     }
 
     #[test]
+    fn oversized_jitter_grids_are_rejected_not_panics() {
+        // The upper-end values used to pass validation and then, while the
+        // context was built, panic a worker (SJ 1e308, grid step 1e-300 or
+        // subnormal) or abort the whole process on a multi-GB allocation
+        // (DJ 1e6, run length 4e9); run counts whose total wraps gave run
+        // probabilities far above 1. Each case names the field it breaks.
+        use crate::spec::RunDistSpec;
+        let base = ModelSpec::paper_table1();
+        let point = |f: &dyn Fn(&mut ModelSpec)| {
+            let mut spec = base.clone();
+            f(&mut spec);
+            EvalRequest::ber_point(spec)
+        };
+        let sj_override = |amplitude_pp: f64| EvalRequest::BerPoint {
+            spec: base.clone(),
+            sj: Some(SjOverride {
+                amplitude_pp,
+                freq_norm: 0.1,
+            }),
+        };
+        let grid = |a: f64| EvalRequest::ber_grid(base.clone(), vec![0.1, a], vec![0.1]);
+        let geometric = |n: u32| point(&move |s| s.run_dist = RunDistSpec::Geometric(n));
+        let counts = |c: Vec<u64>| point(&move |s| s.run_dist = RunDistSpec::Counts(c.clone()));
+        let bad: Vec<(&str, EvalRequest)> = vec![
+            ("sj_pp", point(&|s| s.sj_pp = -0.1)),
+            ("sj_pp", point(&|s| s.sj_pp = 1.000_001e6)),
+            ("sj_pp", point(&|s| s.sj_pp = 1e308)),
+            ("sj.amplitude_pp", sj_override(-0.1)),
+            ("sj.amplitude_pp", sj_override(1e308)),
+            ("amps_pp", grid(-0.1)),
+            ("amps_pp", grid(1e308)),
+            ("dj_pp", point(&|s| s.dj_pp = -0.1)),
+            ("dj_pp", point(&|s| s.dj_pp = 65.537)),
+            ("dj_pp", point(&|s| s.dj_pp = 1e6)),
+            ("grid_step", point(&|s| s.grid_step = 1e-300)),
+            ("grid_step", point(&|s| s.grid_step = 0.011)),
+            (
+                "grid_step",
+                point(&|s| {
+                    s.dj_pp = 0.0;
+                    s.grid_step = 5e-324;
+                }),
+            ),
+            ("cid_max", point(&|s| s.cid_max = 0)),
+            ("cid_max", point(&|s| s.cid_max = 1025)),
+            ("cid_max", point(&|s| s.cid_max = 4_000_000_000)),
+            ("max_len", geometric(0)),
+            ("max_len", geometric(4_000_000_000)),
+            ("counts", counts(vec![0, 0])),
+            ("counts", counts(vec![0, u64::MAX, 2])),
+        ];
+        let engine = Engine::with_config(EngineConfig {
+            cache_capacity: 2,
+            workers: Some(1),
+        });
+        for (field, req) in &bad {
+            let err = req.validate().expect_err(field);
+            assert_eq!(err.kind(), "invalid_spec", "{field}");
+            assert!(err.detail().contains(field), "{field}: {}", err.detail());
+            let err = engine.evaluate(req).expect_err(field);
+            assert_eq!(err.kind(), "invalid_spec", "{field}");
+        }
+        // The bounds themselves are accepted and evaluate.
+        let edge = [
+            point(&|s| s.sj_pp = 1e6),
+            sj_override(1e6),
+            grid(1e6),
+            point(&|s| {
+                s.dj_pp = 64.0;
+                s.grid_step = 1.0 / 1024.0;
+            }),
+            point(&|s| {
+                s.dj_pp = 0.0;
+                s.grid_step = f64::MIN_POSITIVE;
+            }),
+            point(&|s| {
+                s.cid_max = 1024;
+                s.run_dist = RunDistSpec::Geometric(1024);
+            }),
+        ];
+        for req in &edge {
+            req.validate().expect("in range");
+            let bers = match engine.evaluate(req).expect("evaluates") {
+                EvalResponse::Scalar { value } => vec![value],
+                EvalResponse::Grid { rows } => rows.concat(),
+                other => panic!("unexpected response {other:?}"),
+            };
+            assert!(bers.iter().all(|b| (0.0..=1.0).contains(b)), "{bers:?}");
+        }
+    }
+
+    #[test]
     fn dsim_ring_oscillates_at_the_expected_period() {
         let engine = Engine::new();
         let resp = engine

@@ -4,7 +4,7 @@
 use crate::baseline::{BaselineMetric, BaselineOut, BaselineSpec, CdrArchKind};
 use crate::error::GccoError;
 use crate::optimize::{OptimizeOut, OptimizeSpec};
-use crate::spec::ModelSpec;
+use crate::spec::{check_sj_amplitude_pp, ModelSpec};
 use gcco_faults::SplitMix64;
 use gcco_noise::compose_ripple_jitter;
 use gcco_stat::{q_inverse, SamplingTap};
@@ -652,12 +652,7 @@ impl EvalRequest {
         match self {
             EvalRequest::BerPoint { sj, .. } => {
                 if let Some(sj) = sj {
-                    if !(sj.amplitude_pp.is_finite() && sj.amplitude_pp >= 0.0) {
-                        return Err(GccoError::InvalidSpec(format!(
-                            "SJ override amplitude must be finite and non-negative, got {}",
-                            sj.amplitude_pp
-                        )));
-                    }
+                    check_sj_amplitude_pp("sj.amplitude_pp", sj.amplitude_pp)?;
                     check_freqs(&[sj.freq_norm])?;
                 }
                 Ok(())
@@ -673,11 +668,7 @@ impl EvalRequest {
                     ));
                 }
                 for &a in amps_pp {
-                    if !(a.is_finite() && a >= 0.0) {
-                        return Err(GccoError::InvalidSpec(format!(
-                            "grid amplitudes must be finite and non-negative, got {a}"
-                        )));
-                    }
+                    check_sj_amplitude_pp("amps_pp", a)?;
                 }
                 check_freqs(freqs_norm)
             }

@@ -5,6 +5,48 @@ use crate::error::GccoError;
 use gcco_stat::{EdgeModel, GccoStatModel, JitterSpec, RunDist, SamplingTap};
 use gcco_units::Ui;
 
+/// The longest run length, in bits, a `cid_max` or geometric `max_len`
+/// may name. The model allocates one slot per run length, so 4e9 would
+/// abort the process on a 32 GB allocation; past ~1075 bits `0.5^l` is
+/// exactly 0 anyway.
+const MAX_RUN_LENGTH: u32 = 1024;
+
+/// The largest sinusoidal-jitter amplitude, UI peak-to-peak, any spec or
+/// request accepts. The BER model's bounded grid spans the DJ plus twice
+/// the amplitude, which overflows to infinity near 1e308 and would panic
+/// a worker; JTOL's own search caps at 20 UIpp.
+const MAX_SJ_AMPLITUDE_PP: f64 = 1e6;
+
+/// The most DJ grid bins (`dj_pp / grid_step`) a spec may ask for. The
+/// model allocates the DJ density at the nominal step: `dj_pp` 1e6 would
+/// abort the process on an 8 GB allocation, and `grid_step` 1e-300 would
+/// wrap the bin count to 0 and panic a worker.
+const MAX_DJ_BINS: f64 = 65_536.0;
+
+/// Checks a run-length bound: one shared range for `cid_max` and a
+/// geometric `max_len`.
+fn check_run_length(field: &str, v: u32) -> Result<(), GccoError> {
+    if (1..=MAX_RUN_LENGTH).contains(&v) {
+        Ok(())
+    } else {
+        Err(GccoError::InvalidSpec(format!(
+            "{field} must lie in [1, {MAX_RUN_LENGTH}], got {v}"
+        )))
+    }
+}
+
+/// Checks a sinusoidal-jitter amplitude: one shared range for a spec's
+/// `sj_pp`, a `ber_point` override and every `ber_grid` amplitude.
+pub(crate) fn check_sj_amplitude_pp(field: &str, v: f64) -> Result<(), GccoError> {
+    if (0.0..=MAX_SJ_AMPLITUDE_PP).contains(&v) {
+        Ok(())
+    } else {
+        Err(GccoError::InvalidSpec(format!(
+            "{field} must lie in [0, {MAX_SJ_AMPLITUDE_PP:e}] UIpp, got {v:?}"
+        )))
+    }
+}
+
 /// Serializable description of a run-length distribution.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RunDistSpec {
@@ -19,19 +61,20 @@ pub enum RunDistSpec {
 impl RunDistSpec {
     fn validate(&self) -> Result<(), GccoError> {
         match self {
-            RunDistSpec::Geometric(max_len) if *max_len >= 1 => Ok(()),
-            RunDistSpec::Geometric(max_len) => Err(GccoError::InvalidSpec(format!(
-                "geometric run distribution needs max_len >= 1, got {max_len}"
-            ))),
-            RunDistSpec::Counts(counts) => {
-                if counts.iter().sum::<u64>() == 0 {
-                    Err(GccoError::InvalidSpec(
-                        "run-length counts must contain at least one run".to_string(),
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
+            RunDistSpec::Geometric(max_len) => check_run_length("geometric max_len", *max_len),
+            // The model divides by the total, which must not wrap.
+            RunDistSpec::Counts(counts) => match counts
+                .iter()
+                .try_fold(0u64, |total, &c| total.checked_add(c))
+            {
+                Some(0) => Err(GccoError::InvalidSpec(
+                    "run-length counts must contain at least one run".to_string(),
+                )),
+                Some(_) => Ok(()),
+                None => Err(GccoError::InvalidSpec(
+                    "run-length counts must sum to at most 2^64 - 1".to_string(),
+                )),
+            },
         }
     }
 
@@ -159,7 +202,6 @@ impl ModelSpec {
         let finite_nonneg = [
             ("dj_pp", self.dj_pp),
             ("rj_rms", self.rj_rms),
-            ("sj_pp", self.sj_pp),
             ("ckj_rms", self.ckj_rms),
         ];
         for (name, v) in finite_nonneg {
@@ -169,17 +211,14 @@ impl ModelSpec {
                 )));
             }
         }
+        check_sj_amplitude_pp("sj_pp", self.sj_pp)?;
         if !(self.sj_freq_norm > 0.0 && self.sj_freq_norm.is_finite()) {
             return Err(GccoError::InvalidSpec(format!(
                 "sj_freq_norm must be a positive finite number, got {}",
                 self.sj_freq_norm
             )));
         }
-        if self.cid_max < 1 {
-            return Err(GccoError::InvalidSpec(
-                "cid_max must be at least 1".to_string(),
-            ));
-        }
+        check_run_length("cid_max", self.cid_max)?;
         if !(self.freq_offset.is_finite() && self.freq_offset.abs() < 0.5) {
             return Err(GccoError::InvalidSpec(format!(
                 "freq_offset must satisfy |ε| < 0.5, got {}",
@@ -193,10 +232,19 @@ impl ModelSpec {
                 )));
             }
         }
-        if !(self.grid_step > 0.0 && self.grid_step <= 0.01) {
+        // A subnormal step overflows the density of a one-bin (zero-DJ)
+        // grid, `1 / grid_step`, which would panic a worker.
+        if !(self.grid_step.is_normal() && self.grid_step > 0.0 && self.grid_step <= 0.01) {
             return Err(GccoError::InvalidSpec(format!(
-                "grid_step must lie in (0, 0.01], got {}",
+                "grid_step must be a normal number in (0, 0.01], got {:?}",
                 self.grid_step
+            )));
+        }
+        let dj_bins = self.dj_pp / self.grid_step;
+        if dj_bins > MAX_DJ_BINS {
+            return Err(GccoError::InvalidSpec(format!(
+                "dj_pp / grid_step must be at most {MAX_DJ_BINS} bins, got {:?} / {:?} = {dj_bins:?}",
+                self.dj_pp, self.grid_step
             )));
         }
         self.run_dist.validate()

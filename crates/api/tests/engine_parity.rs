@@ -4,10 +4,12 @@
 //! `power_budget` move onto `EvalRequest` without a golden-output change.
 
 use gcco_api::{
-    Engine, EngineConfig, EvalRequest, EvalResponse, ModelSpec, PowerScanSpec, SjOverride,
+    Engine, EngineConfig, EvalRequest, EvalResponse, ModelSpec, OptimizeSpec, PowerScanSpec,
+    SjOverride,
 };
 use gcco_noise::{iss_log_grid, size_for_jitter, tradeoff_point, PhaseNoiseModel};
-use gcco_stat::{ftol, GccoStatModel, JitterSpec, SamplingTap, SweepContext};
+use gcco_opt::ProbePoint;
+use gcco_stat::{ftol, GccoStatModel, JitterSpec, QTable, SamplingTap, SweepContext};
 use gcco_units::{Current, Freq, Ui, Voltage};
 
 /// The Fig. 9 axes — small enough for a test, dense enough to cross the
@@ -202,5 +204,50 @@ fn shared_specs_build_exactly_one_context() {
         engine.context_builds(),
         3,
         "capacity-1 cache must rebuild after eviction"
+    );
+}
+
+#[test]
+fn cold_probes_on_the_shared_q_table_match_a_fresh_table() {
+    // Every probe is a cold context build that borrows the process-wide
+    // Q-table; each must answer exactly what the model gives with a table
+    // of its own. The specs are `paper_flow` probe corners: tap × CID ×
+    // oscillator jitter × signed frequency margin.
+    let opt = OptimizeSpec::paper_flow();
+    let mut specs = Vec::new();
+    for tap in 0..opt.taps.len() as u8 {
+        for &cid_max in &opt.cids {
+            for ckj_rms in [opt.ckj_lo, 4e-3, 0.015, opt.ckj_hi] {
+                for freq_offset in [opt.freq_margin, -0.01, 0.02, -opt.margin_hi] {
+                    specs.push(opt.probe_spec(&ProbePoint {
+                        tap,
+                        cid_max,
+                        ckj_rms,
+                        freq_offset,
+                    }));
+                }
+            }
+        }
+    }
+    assert_eq!(specs.len(), 64);
+    let engine = Engine::with_config(EngineConfig {
+        cache_capacity: 8,
+        workers: Some(1),
+    });
+    let fresh = QTable::new();
+    for spec in &specs {
+        let EvalResponse::Scalar { value } = engine
+            .evaluate(&EvalRequest::ber_point(spec.clone()))
+            .expect("valid probe")
+        else {
+            panic!("point request must yield a scalar")
+        };
+        let direct = spec.build().expect("valid probe").ber_cached(&fresh);
+        assert_eq!(value.to_bits(), direct.to_bits(), "{spec:?}");
+    }
+    assert_eq!(
+        engine.context_builds(),
+        64,
+        "64 distinct specs are 64 cold builds"
     );
 }

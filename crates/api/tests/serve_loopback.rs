@@ -247,6 +247,37 @@ fn an_out_of_range_rate_is_refused_and_the_worker_keeps_serving() {
 }
 
 #[test]
+fn an_oversized_jitter_grid_is_refused_and_the_worker_keeps_serving() {
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let handle = serve(&config, Engine::new()).expect("bind loopback");
+    let addr = handle.local_addr();
+    let timeout = Duration::from_secs(20);
+    let point = |id: u64, sj_pp: f64| Envelope {
+        id,
+        v: Some(PROTOCOL_VERSION),
+        deadline_ms: None,
+        request: EvalRequest::ber_point(ModelSpec {
+            sj_pp,
+            ..ModelSpec::paper_table1()
+        }),
+    };
+
+    // SJ 1e308 UIpp used to pass validation and then panic the only
+    // worker while it built the jitter grid.
+    let bad = submit_batch(&addr, &[point(1, 1e308)], timeout).expect("the bad line is answered");
+    let (kind, detail) = bad[0].result.clone().expect_err("1e308 UIpp is refused");
+    assert_eq!(kind, "invalid_spec");
+    assert!(detail.contains("sj_pp"), "{detail}");
+
+    let good = submit_batch(&addr, &[point(2, 0.0)], timeout).expect("the next line is answered");
+    assert!(good[0].result.is_ok(), "{:?}", good[0].result);
+    handle.shutdown();
+}
+
+#[test]
 fn duplicate_batch_ids_are_rejected_before_any_evaluation() {
     let handle = serve(&ServeConfig::default(), Engine::new()).expect("bind loopback");
     let addr = handle.local_addr();

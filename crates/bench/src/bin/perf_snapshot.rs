@@ -19,6 +19,9 @@
 //!   serial map vs [`SweepContext::ber_grid`];
 //! * a JTOL curve, seed-style fixed-iteration clone-per-eval bisection vs
 //!   [`SweepContext::jtol_curve`];
+//! * 64 cold BER probes of a `paper_flow` search, one thread: a model plus
+//!   a freshly built [`QTable`] per probe vs [`SweepContext::new`] on the
+//!   process-wide table;
 //! * the four lane-batched statistical kernels (sinusoidal PDF build, box
 //!   convolution, direct convolution, table-driven Gaussian exceedance)
 //!   vs bit-identical scalar replicas of the pre-lane code, single thread;
@@ -29,6 +32,7 @@
 //! timing is recorded: the kernel pairs bit-for-bit, the scheduler pairs
 //! by event count and recovered bit stream.
 
+use gcco_api::{ModelSpec, OptimizeSpec, RunDistSpec};
 use gcco_bench::runner::{time_best_of, BenchReport, Timed};
 use gcco_bench::{header, result_line};
 use gcco_core::{build_cdr, CcoParams, CdrConfig, GatedOscillator};
@@ -139,6 +143,9 @@ fn main() {
         jfast.secs * 1e3,
         &[("points", jfreqs.len().to_string())],
     );
+
+    // --- Cold BER probes, single thread ---------------------------------
+    bench_cold_ber_probe(&mut report, quick);
 
     // --- Lane-batched statistical kernels, single thread -----------------
     let kernel_speedup = bench_stat_kernels(&mut report, quick);
@@ -271,6 +278,66 @@ fn main() {
     println!(
         "OK: grid {grid_speedup:.2}x, JTOL {jtol_speedup:.2}x, kernels {kernel_speedup:.2}x, \
          CDR scheduler {cdr_speedup:.2}x, parallel output bit-identical to serial."
+    );
+}
+
+/// Times one cold BER probe per spec, the path every new design point of
+/// an optimizer search takes: a model build, then one cached-Q BER. The
+/// baseline builds a Q-table per probe, as every cold context did before
+/// the table was shared per process; the optimized path is a
+/// [`SweepContext`] on [`QTable::shared`]. Asserted bit-identical per
+/// probe; no speedup gate.
+fn bench_cold_ber_probe(report: &mut BenchReport, quick: bool) {
+    let opt = OptimizeSpec::paper_flow();
+    let mut specs = Vec::new();
+    for &tap in &opt.taps {
+        for &cid_max in &opt.cids {
+            for ckj_rms in [opt.ckj_lo, 4e-3, 0.015, opt.ckj_hi] {
+                for freq_offset in [opt.freq_margin, -0.01, 0.02, -opt.margin_hi] {
+                    specs.push(ModelSpec {
+                        ckj_rms,
+                        cid_max,
+                        run_dist: RunDistSpec::Geometric(cid_max),
+                        tap,
+                        freq_offset,
+                        ..opt.base.clone()
+                    });
+                }
+            }
+        }
+    }
+    let reps = if quick { 2 } else { 5 };
+    let base = time_best_of(reps, || {
+        specs
+            .iter()
+            .map(|spec| {
+                let model = spec.build().expect("valid probe");
+                model.ber_cached(&QTable::new())
+            })
+            .collect::<Vec<_>>()
+    });
+    let fast = time_best_of(reps, || {
+        specs
+            .iter()
+            .map(|spec| SweepContext::new(spec.build().expect("valid probe")).ber())
+            .collect::<Vec<_>>()
+    });
+    assert_bits_eq(&base.value, &fast.value, "cold BER probe");
+    let speedup = base.secs / fast.secs;
+    println!(
+        "cold BER probe ({} specs, 1 thread): per-probe Q-table {:.1} ms | shared {:.1} ms | {speedup:.2}x",
+        specs.len(),
+        base.secs * 1e3,
+        fast.secs * 1e3
+    );
+    report.push_comparison(
+        "cold_ber_probe",
+        base.secs * 1e3,
+        fast.secs * 1e3,
+        &[
+            ("threads", "1".to_string()),
+            ("probes", specs.len().to_string()),
+        ],
     );
 }
 

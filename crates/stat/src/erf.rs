@@ -6,6 +6,8 @@
 //! approximations (double precision, relative error < 1e-13 over the whole
 //! range) and build everything else on top of it.
 
+use std::sync::OnceLock;
+
 /// Complementary error function `erfc(x) = 2/√π ∫ₓ^∞ e^(−t²) dt`.
 ///
 /// Accurate to better than 1e-13 relative error for all finite inputs;
@@ -193,7 +195,10 @@ impl QTable {
     /// feed slices in multiples of it to stay on the fast path.
     pub const BATCH: usize = 8;
 
-    /// Builds the table (~6k entries, ~48 KiB) by sampling [`q_function`].
+    /// Builds the table (~6k entries, ~48 KiB) by sampling [`q_function`],
+    /// which takes ~0.8 ms. The table is a pure function of constants, so
+    /// readers should borrow [`QTable::shared`] rather than build their
+    /// own.
     pub fn new() -> QTable {
         let n = ((QTAB_Z_HI - QTAB_Z_LO + 1.0) * QTAB_PER_UNIT) as usize + 4;
         let ln_q = (0..n)
@@ -203,6 +208,13 @@ impl QTable {
             })
             .collect();
         QTable { ln_q }
+    }
+
+    /// The process-wide table: built by the first caller, borrowed by
+    /// every later one. Bit-identical to [`QTable::new`].
+    pub fn shared() -> &'static QTable {
+        static SHARED: OnceLock<QTable> = OnceLock::new();
+        SHARED.get_or_init(QTable::new)
     }
 
     /// Interpolated `Q(z)`, matching [`q_function`] to ~1e-10 relative error.
@@ -475,6 +487,15 @@ mod tests {
         // Outside the table: saturation below, exact passthrough above.
         assert_eq!(tab.q(-15.0), 1.0);
         assert_eq!(tab.q(40.0), q_function(40.0));
+    }
+
+    #[test]
+    fn shared_q_table_is_the_fresh_table_bit_for_bit() {
+        let (shared, fresh) = (QTable::shared(), QTable::new());
+        assert_eq!(shared.ln_q.len(), fresh.ln_q.len());
+        for (i, (s, f)) in shared.ln_q.iter().zip(&fresh.ln_q).enumerate() {
+            assert_eq!(s.to_bits(), f.to_bits(), "entry {i}");
+        }
     }
 
     #[test]

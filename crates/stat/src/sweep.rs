@@ -13,13 +13,15 @@
 //!   evaluated independently of scheduling order.
 //! * [`SweepContext`] — a reusable evaluation context bundling the model
 //!   with its amplitude/offset-independent precomputed state (the DJ base
-//!   PDF cached inside [`GccoStatModel`] plus a shared [`QTable`] for
-//!   Gaussian-tail lookups), so each grid point pays only for what actually
-//!   changes along the sweep axes.
+//!   PDF cached inside [`GccoStatModel`]) and the process-wide
+//!   [`QTable::shared`] for Gaussian-tail lookups, so each grid point pays
+//!   only for what actually changes along the sweep axes. The table does
+//!   not depend on the model, so it is built once per process, not once
+//!   per context: a cold context costs only its model build.
 //!
 //! Worker count comes from [`available_workers`]: the `GCCO_WORKERS`
 //! environment variable when set, otherwise
-//! [`std::thread::available_parallelism`].
+//! [`std::thread::available_parallelism`], resolved once per process.
 
 use crate::erf::QTable;
 use crate::jtol::{jtol_at_impl, JtolPoint};
@@ -27,10 +29,16 @@ use crate::model::GccoStatModel;
 use gcco_obs::Registry;
 use gcco_units::Ui;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Number of sweep workers to use: the `GCCO_WORKERS` environment variable
 /// (when set to a positive integer), else the machine's available
 /// parallelism, else 1.
+///
+/// The variable is read on every call, so a later override takes effect.
+/// The machine's parallelism is looked up once per process: on Linux that
+/// lookup reads cgroup files, tens of microseconds that every cold context
+/// would otherwise pay.
 pub fn available_workers() -> usize {
     if let Ok(v) = std::env::var("GCCO_WORKERS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -39,9 +47,12 @@ pub fn available_workers() -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Data-parallel map over a grid with deterministic output ordering.
@@ -117,11 +128,12 @@ where
 /// curves.
 ///
 /// The context owns the model (whose DJ base PDF is already cached
-/// per-construction) and a shared [`QTable`]; worker threads borrow both
-/// immutably, and per-thread convolution scratch lives in thread-locals
-/// inside the model. Grid evaluations are therefore allocation-light and
-/// cold per point — no cross-point state — which is what makes the
-/// parallel output bit-identical to the serial one.
+/// per-construction) and borrows the process-wide [`QTable::shared`];
+/// worker threads borrow both immutably, and per-thread convolution
+/// scratch lives in thread-locals inside the model. Grid evaluations are
+/// therefore allocation-light and cold per point — no cross-point state —
+/// which is what makes the parallel output bit-identical to the serial
+/// one.
 ///
 /// # Examples
 ///
@@ -137,19 +149,20 @@ where
 #[derive(Clone, Debug)]
 pub struct SweepContext {
     model: GccoStatModel,
-    qtab: QTable,
+    qtab: &'static QTable,
     workers: usize,
     obs: Registry,
 }
 
 impl SweepContext {
-    /// Wraps a model with a fresh Q-table and [`available_workers`]
-    /// workers, recording sweep metrics into the [`gcco_obs::global`]
-    /// registry (override with [`SweepContext::with_obs`]).
+    /// Wraps a model with the process-wide Q-table and
+    /// [`available_workers`] workers, recording sweep metrics into the
+    /// [`gcco_obs::global`] registry (override with
+    /// [`SweepContext::with_obs`]).
     pub fn new(model: GccoStatModel) -> SweepContext {
         SweepContext {
             model,
-            qtab: QTable::new(),
+            qtab: QTable::shared(),
             workers: available_workers(),
             obs: gcco_obs::global().clone(),
         }
@@ -198,9 +211,9 @@ impl SweepContext {
         self.workers
     }
 
-    /// The shared Gaussian-tail lookup table.
+    /// The process-wide Gaussian-tail lookup table ([`QTable::shared`]).
     pub fn q_table(&self) -> &QTable {
-        &self.qtab
+        self.qtab
     }
 
     /// [`par_map_grid`] with this context's worker count.
@@ -215,14 +228,14 @@ impl SweepContext {
 
     /// BER of the wrapped model via the cached fast path.
     pub fn ber(&self) -> f64 {
-        self.model.ber_cached(&self.qtab)
+        self.model.ber_cached(self.qtab)
     }
 
     /// Single-point cached BER with overridden sinusoidal jitter (the
     /// [`GccoStatModel::ber_at_sj`] fast path with this context's Q-table).
     pub fn ber_at_sj(&self, amplitude_pp: Ui, freq_norm: f64) -> f64 {
         self.model
-            .ber_at_sj(amplitude_pp, freq_norm, Some(&self.qtab))
+            .ber_at_sj(amplitude_pp, freq_norm, Some(self.qtab))
     }
 
     /// BER over an SJ amplitude × frequency grid: `grid[a][f]` is the BER
@@ -236,7 +249,7 @@ impl SweepContext {
             .flat_map(|&a| freqs_norm.iter().map(move |&f| (a, f)))
             .collect();
         let flat = self.map(&cells, |_, &(a, f)| {
-            self.model.ber_at_sj(Ui::new(a), f, Some(&self.qtab))
+            self.model.ber_at_sj(Ui::new(a), f, Some(self.qtab))
         });
         flat.chunks(freqs_norm.len().max(1))
             .map(|row| row.to_vec())
@@ -248,7 +261,7 @@ impl SweepContext {
     /// exposed so request engines can interleave deadline checks between
     /// points without changing any value.
     pub fn jtol_point(&self, freq_norm: f64, target_ber: f64) -> JtolPoint {
-        jtol_at_impl(&self.model, freq_norm, target_ber, None, Some(&self.qtab))
+        jtol_at_impl(&self.model, freq_norm, target_ber, None, Some(self.qtab))
     }
 
     /// Jitter-tolerance curve over `freqs_norm`, one bisection per point,
@@ -331,6 +344,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn contexts_borrow_one_process_wide_q_table() {
+        let a = SweepContext::new(GccoStatModel::new(JitterSpec::paper_table1()));
+        let b = SweepContext::new(GccoStatModel::new(
+            JitterSpec::paper_table1().with_sj(Ui::new(0.3), 0.1),
+        ));
+        assert!(std::ptr::eq(a.q_table(), b.q_table()));
+        assert!(std::ptr::eq(a.q_table(), QTable::shared()));
+        assert_eq!(
+            b.ber().to_bits(),
+            b.model().ber_cached(&QTable::new()).to_bits()
+        );
     }
 
     #[test]

@@ -72,11 +72,20 @@ fn par_map_grid_is_order_preserving_under_uneven_load() {
 #[test]
 fn gcco_workers_env_override_is_respected() {
     // `available_workers` must honour an explicit override; the contexts
-    // built above rely on it for reproducible CI runs.
+    // built above rely on it for reproducible CI runs. The machine's
+    // parallelism is looked up once per process, so the override must
+    // still win when it is set after that first lookup.
+    std::env::remove_var("GCCO_WORKERS");
+    let machine = available_workers();
+    assert!(machine >= 1);
     std::env::set_var("GCCO_WORKERS", "3");
     assert_eq!(available_workers(), 3);
     std::env::set_var("GCCO_WORKERS", "not-a-number");
-    let fallback = available_workers();
-    assert!(fallback >= 1, "garbage override must fall back");
+    assert_eq!(
+        available_workers(),
+        machine,
+        "garbage override must fall back"
+    );
     std::env::remove_var("GCCO_WORKERS");
+    assert_eq!(available_workers(), machine);
 }
