@@ -1197,7 +1197,8 @@ mod tests {
         // context was built, panic a worker (SJ 1e308, grid step 1e-300 or
         // subnormal) or abort the whole process on a multi-GB allocation
         // (DJ 1e6, run length 4e9); run counts whose total wraps gave run
-        // probabilities far above 1. Each case names the field it breaks.
+        // probabilities far above 1, and a count list of any length cost
+        // BER time linear in it. Each case names the field it breaks.
         use crate::spec::RunDistSpec;
         let base = ModelSpec::paper_table1();
         let point = |f: &dyn Fn(&mut ModelSpec)| {
@@ -1242,6 +1243,7 @@ mod tests {
             ("max_len", geometric(4_000_000_000)),
             ("counts", counts(vec![0, 0])),
             ("counts", counts(vec![0, u64::MAX, 2])),
+            ("counts", counts(vec![1; 1026])),
         ];
         let engine = Engine::with_config(EngineConfig {
             cache_capacity: 2,
@@ -1271,6 +1273,7 @@ mod tests {
                 s.cid_max = 1024;
                 s.run_dist = RunDistSpec::Geometric(1024);
             }),
+            counts(vec![1; 1025]),
         ];
         for req in &edge {
             req.validate().expect("in range");

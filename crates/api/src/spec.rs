@@ -62,6 +62,16 @@ impl RunDistSpec {
     fn validate(&self) -> Result<(), GccoError> {
         match self {
             RunDistSpec::Geometric(max_len) => check_run_length("geometric max_len", *max_len),
+            // BER cost grows with the entry count: one slot per run length,
+            // 0 to the shared bound.
+            RunDistSpec::Counts(counts) if counts.len() > MAX_RUN_LENGTH as usize + 1 => {
+                Err(GccoError::InvalidSpec(format!(
+                    "run-length counts must have at most {} entries (run lengths 0 to \
+                     {MAX_RUN_LENGTH}), got {}",
+                    MAX_RUN_LENGTH + 1,
+                    counts.len()
+                )))
+            }
             // The model divides by the total, which must not wrap.
             RunDistSpec::Counts(counts) => match counts
                 .iter()

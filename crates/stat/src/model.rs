@@ -127,9 +127,14 @@ impl RunDist {
     ///
     /// # Panics
     ///
-    /// Panics if all counts are zero.
+    /// Panics if all counts are zero, or with "run-length counts sum past
+    /// u64::MAX" if their total does not fit a `u64` (in every build
+    /// profile: a wrapped total would give run probabilities above 1).
     pub fn from_counts(counts: &[u64]) -> RunDist {
-        let total: u64 = counts.iter().sum();
+        let total = counts
+            .iter()
+            .try_fold(0u64, |total, &c| total.checked_add(c))
+            .expect("run-length counts sum past u64::MAX");
         assert!(total > 0, "no runs in the input");
         let probs: Vec<f64> = counts.iter().map(|&c| c as f64 / total as f64).collect();
         let mean = probs
@@ -791,6 +796,14 @@ mod tests {
         let d = RunDist::from_run_lengths(&runs);
         assert_eq!(d.max_len(), 7);
         assert!((d.prob(1) - 0.5).abs() < 0.05);
+    }
+
+    #[test]
+    #[should_panic(expected = "run-length counts sum past u64::MAX")]
+    fn run_dist_rejects_counts_that_overflow() {
+        // Unchecked, this total wraps to 1 in release builds and gives
+        // P(L = 1) = 2^64 − 1.
+        let _ = RunDist::from_counts(&[0, u64::MAX, 2]);
     }
 
     #[test]

@@ -439,16 +439,27 @@ impl Pdf {
 
     /// Expected Gaussian shortfall: `E[Q((X − threshold)/σ)]`
     /// (probability that `X + N(0,σ²) ≤ threshold`).
+    ///
+    /// `Q` falls along the loop, so the sum stops after the first bin at
+    /// which `d_max·Q`, `d_max` being the largest `d·step`, is below a
+    /// quarter of the gap from the running sum to the next float up:
+    /// every later term then rounds away, and the result is the full
+    /// loop's `f64` (DESIGN.md § *Shortfall early exit*).
     pub fn gaussian_exceed_below(&self, threshold: f64, sigma: f64) -> f64 {
         if sigma <= 0.0 {
             return self.tail_below(threshold);
         }
+        let d_max = max_density(&self.density) * self.step;
         let mut p = 0.0;
         for (i, &d) in self.density.iter().enumerate() {
             if d == 0.0 {
                 continue;
             }
-            p += d * self.step * q_function((self.x(i) - threshold) / sigma);
+            let q = q_function((self.x(i) - threshold) / sigma);
+            p += d * self.step * q;
+            if absorbs(p, d_max * q) {
+                break;
+            }
         }
         p.min(1.0)
     }
@@ -499,7 +510,8 @@ impl Pdf {
         // z_i = (threshold − x_i)/σ decreases with i: the interpolated band
         // is (i_lo, i_hi), everything after it has Q = 1.
         let (i_lo, i_hi) = self.z_band(threshold, sigma, -1.0, -8.0, 37.5);
-        let mut p = self.q_weighted_band(0.0, i_lo, i_hi, tab, |x| (threshold - x) * inv_sigma);
+        let mut p =
+            self.q_weighted_band(0.0, i_lo, i_hi, tab, |x| (threshold - x) * inv_sigma, false);
         p += self.density[i_hi..].iter().sum::<f64>();
         (p * self.step).min(1.0)
     }
@@ -513,6 +525,13 @@ impl Pdf {
     /// sum is bit-identical. All-zero density blocks (dual-Dirac PDFs are
     /// mostly zeros) skip the table work entirely, exactly as the scalar
     /// `d == 0` guard did.
+    ///
+    /// With `q_falls` (`z` rises along the band: the shortfall sums) the
+    /// sum stops after the first block at which `absorbs(p, d_max·q)`
+    /// holds, `q` being the block's smallest `Q` and `d_max` the band's
+    /// largest density: no later term can change a bit of `p`. The slip
+    /// sums pass `false`: their `Q` rises along the band, so every term
+    /// counts.
     fn q_weighted_band(
         &self,
         p0: f64,
@@ -520,8 +539,10 @@ impl Pdf {
         i_hi: usize,
         tab: &QTable,
         z_of_x: impl Fn(f64) -> f64,
+        q_falls: bool,
     ) -> f64 {
         const B: usize = QTable::BATCH;
+        let d_max = q_falls.then(|| max_density(&self.density[i_lo..i_hi]));
         let mut zs = [0.0f64; B];
         let mut qs = [0.0f64; B];
         let mut p = p0;
@@ -544,13 +565,23 @@ impl Pdf {
                 p += dv * qs[l];
             }
             i += len;
+            if let Some(d_max) = d_max {
+                let q = qs[..len].iter().copied().fold(f64::INFINITY, f64::min);
+                if absorbs(p, d_max * q) {
+                    break;
+                }
+            }
         }
         p
     }
 
     /// [`Pdf::gaussian_exceed_below`] with `Q` drawn from a precomputed
     /// [`QTable`] (see [`Pdf::gaussian_exceed_above_with`] for the
-    /// saturation pruning).
+    /// saturation pruning). Like [`Pdf::gaussian_exceed_below`], the band
+    /// sum stops after the first [`QTable::BATCH`] block at which
+    /// `d_max·Q`, `d_max` being the band's largest density, is below a
+    /// quarter of the gap from the running sum to the next float up, and
+    /// returns the full band sum's `f64`.
     pub fn gaussian_exceed_below_with(&self, threshold: f64, sigma: f64, tab: &QTable) -> f64 {
         if sigma <= 0.0 {
             return self.tail_below(threshold);
@@ -560,9 +591,28 @@ impl Pdf {
         // band has Q = 1, everything after it Q = 0.
         let (i_lo, i_hi) = self.z_band(threshold, sigma, 1.0, -8.0, 37.5);
         let head = self.density[..i_lo].iter().sum::<f64>();
-        let p = self.q_weighted_band(head, i_lo, i_hi, tab, |x| (x - threshold) * inv_sigma);
+        let p = self.q_weighted_band(head, i_lo, i_hi, tab, |x| (x - threshold) * inv_sigma, true);
         (p * self.step).min(1.0)
     }
+}
+
+/// The largest density sample (0 for an empty slice).
+fn max_density(density: &[f64]) -> f64 {
+    density.iter().copied().fold(0.0, f64::max)
+}
+
+/// Whether the running tail sum `p` absorbs every remaining term no
+/// larger than `bound`, i.e. `p + term` rounds back to `p`.
+///
+/// A non-negative term below half the gap from `p` to the next float up
+/// rounds away. The test uses a quarter of the gap, so a later `Q` that
+/// rounding in `exp`/`erfc` leaves slightly above the tested one still
+/// rounds away: the cut needs `Q` to fall along the loop, not to be
+/// computed monotone to the last bit. `p` must be positive and below
+/// `f64::MAX` (where the gap is finite and `p + term` cannot overflow).
+#[inline]
+fn absorbs(p: f64, bound: f64) -> bool {
+    p > 0.0 && p < f64::MAX && bound < 0.25 * (p.next_up() - p)
 }
 
 impl Default for Pdf {
